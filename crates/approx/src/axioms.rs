@@ -6,9 +6,12 @@
 //! corresponds to adding elements to its complement (hitting) set. The
 //! checkers below exercise a function over randomly grown chains of hitting
 //! sets and over redundancy-preserving extensions, and report the first
-//! counterexample found. They are used by the test suites of this crate and
-//! of `adc-datasets` to validate that every function the miner is configured
-//! with behaves like a valid approximation function on the data at hand.
+//! counterexample found. They score through
+//! `ApproximationFunction::score_uncovered`, the method the enumerator
+//! calls, so a function is checked on the path mining takes. They are used
+//! by the test suites of this crate and of `adc-datasets` to validate that
+//! every function the miner is configured with behaves like a valid
+//! approximation function on the data at hand.
 
 use crate::functions::{ApproxContext, ApproximationFunction};
 use adc_data::FixedBitSet;
@@ -48,11 +51,11 @@ pub fn check_monotonicity(
         order.shuffle(&mut rng);
         let chain_len = rng.gen_range(1..=num_predicates.max(1));
         let mut set = FixedBitSet::new(num_predicates);
-        let mut prev_score = f.score(ctx, &set);
+        let mut prev_score = enumerator_score(f, ctx, &set);
         let mut prev_elems: Vec<usize> = Vec::new();
         for &e in order.iter().take(chain_len) {
             set.insert(e);
-            let score = f.score(ctx, &set);
+            let score = enumerator_score(f, ctx, &set);
             if score + tolerance < prev_score {
                 return Some(AxiomViolation {
                     smaller: prev_elems,
@@ -90,7 +93,7 @@ pub fn check_indifference_to_redundancy(
             }
         }
         let base_cover = coverage_signature(ctx, &base);
-        let base_score = f.score(ctx, &base);
+        let base_score = enumerator_score(f, ctx, &base);
         // Try to extend it with elements that do not change coverage.
         let mut extended = base.clone();
         let mut changed = false;
@@ -108,7 +111,7 @@ pub fn check_indifference_to_redundancy(
         if !changed {
             continue;
         }
-        let extended_score = f.score(ctx, &extended);
+        let extended_score = enumerator_score(f, ctx, &extended);
         if (extended_score - base_score).abs() > tolerance {
             return Some(AxiomViolation {
                 smaller: base.to_vec(),
@@ -119,6 +122,18 @@ pub fn check_indifference_to_redundancy(
         }
     }
     None
+}
+
+/// Score `set` the way the enumerator does: through
+/// [`ApproximationFunction::score_uncovered`], given the uncovered entries.
+/// A function that implements only `score` is reached through the default.
+fn enumerator_score(
+    f: &dyn ApproximationFunction,
+    ctx: &ApproxContext<'_>,
+    set: &FixedBitSet,
+) -> f64 {
+    let uncovered = ctx.evidence.uncovered_indexes(set);
+    f.score_uncovered(ctx, set, &[&uncovered])
 }
 
 /// Which evidence entries a hitting set covers (the "set of satisfying tuple
@@ -214,7 +229,9 @@ mod tests {
 
     #[test]
     fn a_deliberately_broken_function_is_caught() {
-        /// A function that *rewards* smaller hitting sets — violates monotonicity.
+        /// A function that *rewards* smaller hitting sets — violates
+        /// monotonicity. It implements only `score`, so the checkers reach it
+        /// through the default `score_uncovered`.
         struct Broken;
         impl ApproximationFunction for Broken {
             fn name(&self) -> &'static str {

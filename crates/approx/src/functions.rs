@@ -8,9 +8,12 @@ use adc_evidence::{EvidenceSet, Vios};
 /// set and (for tuple-level measures) the `vios` participation index.
 ///
 /// The context deliberately excludes the raw relation — mirroring the paper,
-/// all three functions are computable from `Evi(D)` plus `vios`, which is
-/// what makes them cheap enough to evaluate `|S| + 2` times per enumeration
-/// step.
+/// all three functions are computable from `Evi(D)` plus `vios`. The
+/// enumerator scores up to `|S| + 2` sets per search node (the threshold
+/// test, one `IsMinimal` check per element of `S`, and `WillCover`), and
+/// hands each call the node's uncovered entries through
+/// [`ApproximationFunction::score_uncovered`], so a call costs time in the
+/// entries left uncovered rather than in the whole evidence set.
 #[derive(Clone, Copy)]
 pub struct ApproxContext<'a> {
     /// The evidence multiset of the (sampled) database.
@@ -57,6 +60,28 @@ pub trait ApproximationFunction {
     /// The score `f(D, S_ϕ) ∈ [0, 1]`; the DC is an ε-ADC iff `1 − score ≤ ε`.
     fn score(&self, ctx: &ApproxContext<'_>, complement_set: &FixedBitSet) -> f64;
 
+    /// The same score, given the ids of the evidence entries disjoint from
+    /// `complement_set`. `uncovered` lists them as ascending,
+    /// pairwise-disjoint runs whose union is exactly that set; the runs
+    /// themselves come in no particular order.
+    ///
+    /// Under indifference to redundancy a valid function depends on the DC
+    /// only through the entries it leaves uncovered, and the enumerator
+    /// already holds those at every search node, so it calls this method
+    /// instead of [`ApproximationFunction::score`]. The default ignores
+    /// `uncovered` and calls `score`, so a function that implements only
+    /// `score` stays correct, at the cost of its own scan. An override must
+    /// return bit for bit what `score` returns for the same DC.
+    fn score_uncovered(
+        &self,
+        ctx: &ApproxContext<'_>,
+        complement_set: &FixedBitSet,
+        uncovered: &[&[u32]],
+    ) -> f64 {
+        let _ = uncovered;
+        self.score(ctx, complement_set)
+    }
+
     /// `true` if [`ApproximationFunction::score`] consults the `vios` index.
     fn requires_vios(&self) -> bool {
         false
@@ -66,6 +91,23 @@ pub trait ApproximationFunction {
     fn exception_rate(&self, ctx: &ApproxContext<'_>, complement_set: &FixedBitSet) -> f64 {
         1.0 - self.score(ctx, complement_set)
     }
+}
+
+/// The entry ids of `uncovered` runs.
+fn entry_ids<'a>(uncovered: &'a [&'a [u32]]) -> impl Iterator<Item = usize> + 'a {
+    uncovered
+        .iter()
+        .flat_map(|run| run.iter().map(|&e| e as usize))
+}
+
+/// Fraction of ordered pairs in the `uncovered` entries (`1 − f1`); zero for
+/// an empty relation, as [`EvidenceSet::violation_fraction`].
+fn violation_fraction(evidence: &EvidenceSet, uncovered: &[&[u32]]) -> f64 {
+    if evidence.total_pairs() == 0 {
+        return 0.0;
+    }
+    let violations: u64 = entry_ids(uncovered).map(|e| evidence.entry(e).count).sum();
+    violations as f64 / evidence.total_pairs() as f64
 }
 
 /// `f1`: the fraction of ordered tuple pairs satisfying the DC
@@ -79,7 +121,17 @@ impl ApproximationFunction for F1ViolationRate {
     }
 
     fn score(&self, ctx: &ApproxContext<'_>, complement_set: &FixedBitSet) -> f64 {
-        1.0 - ctx.evidence.violation_fraction(complement_set)
+        let uncovered = ctx.evidence.uncovered_indexes(complement_set);
+        self.score_uncovered(ctx, complement_set, &[&uncovered])
+    }
+
+    fn score_uncovered(
+        &self,
+        ctx: &ApproxContext<'_>,
+        _complement_set: &FixedBitSet,
+        uncovered: &[&[u32]],
+    ) -> f64 {
+        1.0 - violation_fraction(ctx.evidence, uncovered)
     }
 }
 
@@ -98,12 +150,21 @@ impl ApproximationFunction for F2ProblematicTuples {
     }
 
     fn score(&self, ctx: &ApproxContext<'_>, complement_set: &FixedBitSet) -> f64 {
+        let uncovered = ctx.evidence.uncovered_indexes(complement_set);
+        self.score_uncovered(ctx, complement_set, &[&uncovered])
+    }
+
+    fn score_uncovered(
+        &self,
+        ctx: &ApproxContext<'_>,
+        _complement_set: &FixedBitSet,
+        uncovered: &[&[u32]],
+    ) -> f64 {
         let n = ctx.evidence.num_tuples();
         if n == 0 {
             return 1.0;
         }
-        let uncovered = ctx.evidence.uncovered_indexes(complement_set);
-        let problematic = ctx.vios().distinct_tuples(&uncovered);
+        let problematic = ctx.vios().distinct_tuples(entry_ids(uncovered));
         (n - problematic) as f64 / n as f64
     }
 }
@@ -125,16 +186,20 @@ impl F3GreedyRepair {
         ctx: &ApproxContext<'_>,
         complement_set: &FixedBitSet,
     ) -> usize {
+        let uncovered = ctx.evidence.uncovered_indexes(complement_set);
+        Self::repair_size(ctx, &[&uncovered])
+    }
+
+    /// The loop of Figure 2 over the `uncovered` entry runs.
+    fn repair_size(ctx: &ApproxContext<'_>, uncovered: &[&[u32]]) -> usize {
         let evidence = ctx.evidence;
-        let uncovered = evidence.uncovered_indexes(complement_set);
         // u = total number of violating pairs (bag semantics).
-        let u: u64 = uncovered.iter().map(|&i| evidence.entry(i).count).sum();
+        let u: u64 = entry_ids(uncovered).map(|e| evidence.entry(e).count).sum();
         if u == 0 {
             return 0;
         }
-        let vios = ctx.vios();
         // SortTuples: v(t) = Σ_{uncovered S} vios[S][t], descending.
-        let counts = vios.accumulate_counts(&uncovered);
+        let counts = ctx.vios().accumulate_counts(entry_ids(uncovered));
         let mut sorted: Vec<(u32, u64)> = counts.into_iter().collect();
         sorted.sort_unstable_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(&b.0)));
         let mut covered = 0u64;
@@ -160,11 +225,21 @@ impl ApproximationFunction for F3GreedyRepair {
     }
 
     fn score(&self, ctx: &ApproxContext<'_>, complement_set: &FixedBitSet) -> f64 {
+        let uncovered = ctx.evidence.uncovered_indexes(complement_set);
+        self.score_uncovered(ctx, complement_set, &[&uncovered])
+    }
+
+    fn score_uncovered(
+        &self,
+        ctx: &ApproxContext<'_>,
+        _complement_set: &FixedBitSet,
+        uncovered: &[&[u32]],
+    ) -> f64 {
         let n = ctx.evidence.num_tuples();
         if n == 0 {
             return 1.0;
         }
-        let removed = self.greedy_repair_size(ctx, complement_set);
+        let removed = Self::repair_size(ctx, uncovered);
         (n - removed) as f64 / n as f64
     }
 }
@@ -205,11 +280,21 @@ impl ApproximationFunction for SampleAdjustedF1 {
     }
 
     fn score(&self, ctx: &ApproxContext<'_>, complement_set: &FixedBitSet) -> f64 {
+        let uncovered = ctx.evidence.uncovered_indexes(complement_set);
+        self.score_uncovered(ctx, complement_set, &[&uncovered])
+    }
+
+    fn score_uncovered(
+        &self,
+        ctx: &ApproxContext<'_>,
+        _complement_set: &FixedBitSet,
+        uncovered: &[&[u32]],
+    ) -> f64 {
         let n = ctx.evidence.total_pairs() as f64;
         if n == 0.0 {
             return 1.0;
         }
-        let p_hat = ctx.evidence.violation_fraction(complement_set);
+        let p_hat = violation_fraction(ctx.evidence, uncovered);
         let margin = self.z * (p_hat * (1.0 - p_hat) / n).sqrt();
         ((1.0 - p_hat) - margin).clamp(0.0, 1.0)
     }
@@ -435,6 +520,117 @@ mod tests {
         let ctx = ApproxContext::new(&fx.evidence.evidence_set);
         let empty = FixedBitSet::new(fx.space.len());
         let _ = F2ProblematicTuples.score(&ctx, &empty);
+    }
+
+    /// Every function this crate provides.
+    fn all_functions() -> [Box<dyn ApproximationFunction>; 4] {
+        [
+            Box::new(F1ViolationRate),
+            Box::new(SampleAdjustedF1::default()),
+            Box::new(F2ProblematicTuples),
+            Box::new(F3GreedyRepair),
+        ]
+    }
+
+    /// `score_uncovered` over the scanned uncovered entries must return the
+    /// bits `score` returns: given as one run, and as two interleaved runs
+    /// in reverse order.
+    fn assert_uncovered_scores_bit_identical(ctx: &ApproxContext<'_>, set: &FixedBitSet) {
+        let scan = ctx.evidence.uncovered_indexes(set);
+        let evens: Vec<u32> = scan.iter().copied().step_by(2).collect();
+        let odds: Vec<u32> = scan.iter().copied().skip(1).step_by(2).collect();
+        // f1 also matches the evidence set's own scan.
+        assert_eq!(
+            F1ViolationRate.score(ctx, set).to_bits(),
+            (1.0 - ctx.evidence.violation_fraction(set)).to_bits()
+        );
+        for f in all_functions() {
+            let expected = f.score(ctx, set).to_bits();
+            for runs in [&[&scan[..]][..], &[&odds[..], &evens[..]]] {
+                assert_eq!(
+                    f.score_uncovered(ctx, set, runs).to_bits(),
+                    expected,
+                    "{} on {:?} with runs {runs:?}",
+                    f.name(),
+                    set.to_vec()
+                );
+            }
+        }
+    }
+
+    /// The empty set, the full set, and `count` random sets of varying
+    /// density over `num_predicates` predicates.
+    fn random_sets(num_predicates: usize, count: usize, seed: u64) -> Vec<FixedBitSet> {
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+        let mut rng = StdRng::seed_from_u64(seed);
+        let mut sets = vec![
+            FixedBitSet::new(num_predicates),
+            FixedBitSet::full(num_predicates),
+        ];
+        for _ in 0..count {
+            let density = rng.gen_range(0.0..0.3);
+            let mut set = FixedBitSet::new(num_predicates);
+            for p in 0..num_predicates {
+                if rng.gen_bool(density) {
+                    set.insert(p);
+                }
+            }
+            sets.push(set);
+        }
+        sets
+    }
+
+    fn assert_bit_identical_on(r: &Relation, seed: u64) {
+        let space = PredicateSpace::build(r, SpaceConfig::default());
+        let ev = ClusterEvidenceBuilder.build(r, &space, true);
+        let ctx = ApproxContext::with_vios(&ev.evidence_set, ev.vios());
+        for set in random_sets(space.len(), 200, seed) {
+            assert_uncovered_scores_bit_identical(&ctx, &set);
+        }
+    }
+
+    #[test]
+    fn score_uncovered_is_bit_identical_on_the_running_example() {
+        assert_bit_identical_on(&running_example(), 1);
+    }
+
+    #[test]
+    fn score_uncovered_is_bit_identical_on_a_noisy_fixture() {
+        // The running example with cells overwritten at random: many more
+        // distinct evidence entries and violations than the clean table.
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+        let clean = running_example();
+        let mut rng = StdRng::seed_from_u64(5);
+        let mut b = Relation::builder(clean.schema().clone());
+        for t in 0..clean.len() {
+            let mut row = clean.row(t);
+            for cell in row.iter_mut().skip(2) {
+                if rng.gen_bool(0.3) {
+                    *cell = Value::Int(rng.gen_range(0..4) * 10_000);
+                }
+            }
+            b.push_row(row).unwrap();
+        }
+        assert_bit_identical_on(&b.build(), 2);
+    }
+
+    #[test]
+    fn score_uncovered_is_bit_identical_without_pairs() {
+        // The empty relation (no tuples) and a single tuple (tuples but
+        // `total_pairs == 0`).
+        let schema = Schema::of(&[("A", AttributeType::Integer), ("B", AttributeType::Text)]);
+        let empty = Relation::empty(schema.clone());
+        let mut b = Relation::builder(schema);
+        b.push_row(vec![Value::Int(1), "x".into()]).unwrap();
+        let single = b.build();
+        for (r, seed) in [(empty, 3), (single, 4)] {
+            let space = PredicateSpace::build(&r, SpaceConfig::default());
+            let ev = ClusterEvidenceBuilder.build(&r, &space, true);
+            assert_eq!(ev.evidence_set.total_pairs(), 0);
+            assert_bit_identical_on(&r, seed);
+        }
     }
 
     #[test]

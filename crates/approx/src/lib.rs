@@ -24,6 +24,15 @@
 //! for `f2`/`f3`), never from raw tuple pairs, matching the complexity
 //! discussion in Section 5 of the paper.
 //!
+//! Indifference to redundancy makes a valid function depend on a DC only
+//! through the evidence entries it leaves uncovered. The enumerator already
+//! holds those entries at every search node, so it scores through
+//! [`ApproximationFunction::score_uncovered`], which receives them as
+//! ascending, pairwise-disjoint runs of entry ids. The built-in functions
+//! override it and never rescan the evidence; their `score` is the same
+//! formula over one scan. A function that implements only `score` falls
+//! back to it through the trait's default and stays correct.
+//!
 //! ```
 //! use adc_approx::{ApproxContext, ApproximationFunction, F1ViolationRate};
 //! use adc_data::FixedBitSet;
@@ -38,8 +47,14 @@
 //! // The DC with complement set {0} misses only the {2} entry: 1 of 5 pairs
 //! // violate, so f1 = 4/5.
 //! let ctx = ApproxContext::new(&evidence);
-//! let score = F1ViolationRate.score(&ctx, &FixedBitSet::from_indices(3, [0]));
+//! let set = FixedBitSet::from_indices(3, [0]);
+//! let score = F1ViolationRate.score(&ctx, &set);
 //! assert!((score - 0.8).abs() < 1e-12);
+//!
+//! // The same score from the uncovered entry ids (entry 1, the {2} entry),
+//! // as the enumerator passes them.
+//! let uncovered: &[u32] = &[1];
+//! assert_eq!(F1ViolationRate.score_uncovered(&ctx, &set, &[uncovered]), score);
 //! ```
 
 #![forbid(unsafe_code)]

@@ -30,17 +30,13 @@ fn random_system(elements: usize, subsets: usize, density: f64, seed: u64) -> Se
     SetSystem::new(elements, sets)
 }
 
-fn coverage_score(system: &SetSystem) -> impl Fn(&FixedBitSet) -> f64 + '_ {
-    move |set: &FixedBitSet| {
+fn coverage_score(system: &SetSystem) -> impl Fn(&FixedBitSet, &[&[u32]]) -> f64 + '_ {
+    move |_set: &FixedBitSet, unhit: &[&[u32]]| {
         if system.is_empty() {
             return 1.0;
         }
-        system
-            .subsets()
-            .iter()
-            .filter(|f| f.intersects(set))
-            .count() as f64
-            / system.len() as f64
+        let missed: usize = unhit.iter().map(|run| run.len()).sum();
+        (system.len() - missed) as f64 / system.len() as f64
     }
 }
 

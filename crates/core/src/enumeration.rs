@@ -259,7 +259,11 @@ fn run_adcs(
         ),
         (false, _) => ApproxContext::new(evidence_set),
     };
-    let score = |hitting_set: &FixedBitSet| f.score(&ctx, hitting_set);
+    // The engine hands over the node's uncovered entries, so built-in
+    // functions score without rescanning the evidence.
+    let score = |hitting_set: &FixedBitSet, uncovered: &[&[u32]]| {
+        f.score_uncovered(&ctx, hitting_set, uncovered)
+    };
 
     let mut dcs = Vec::new();
     let mut callback = |hitting_set: &FixedBitSet| {

@@ -419,8 +419,8 @@ pub(crate) mod tests {
         ] {
             let ev = builder.build(&r, &space, true);
             let vios = ev.vios();
-            let all_entries: Vec<usize> = (0..ev.evidence_set.distinct_count()).collect();
-            let total: u64 = vios.accumulate_counts(&all_entries).values().sum();
+            let all_entries = 0..ev.evidence_set.distinct_count();
+            let total: u64 = vios.accumulate_counts(all_entries.clone()).values().sum();
             assert_eq!(
                 total,
                 2 * ev.evidence_set.total_pairs(),
@@ -428,7 +428,7 @@ pub(crate) mod tests {
                 builder.name()
             );
             // Every tuple participates in 2*(n-1) ordered pairs.
-            let counts = vios.accumulate_counts(&all_entries);
+            let counts = vios.accumulate_counts(all_entries);
             for t in 0..r.len() as u32 {
                 assert_eq!(counts[&t], 2 * (r.len() as u64 - 1));
             }

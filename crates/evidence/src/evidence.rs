@@ -98,13 +98,15 @@ impl EvidenceSet {
     }
 
     /// Indexes of the entries disjoint from `hitting_set` (the "uncovered"
-    /// evidence sets, i.e. the violating pair classes).
-    pub fn uncovered_indexes(&self, hitting_set: &FixedBitSet) -> Vec<usize> {
+    /// evidence sets, i.e. the violating pair classes), ascending. They are
+    /// `u32` like the subset ids of the hitting-set search, which hands the
+    /// same ids to an approximation function's `score_uncovered`.
+    pub fn uncovered_indexes(&self, hitting_set: &FixedBitSet) -> Vec<u32> {
         self.entries
             .iter()
             .enumerate()
             .filter(|(_, e)| !e.set.intersects(hitting_set))
-            .map(|(i, _)| i)
+            .map(|(i, _)| i as u32)
             .collect()
     }
 

@@ -220,9 +220,12 @@ impl Vios {
 
     /// Accumulate, over the given entries, the per-tuple participation counts
     /// (the `v(t)` values computed by `SortTuples` in Figure 2 of the paper).
-    pub fn accumulate_counts(&self, entries: &[usize]) -> FxHashMap<u32, u64> {
+    pub fn accumulate_counts(
+        &self,
+        entries: impl IntoIterator<Item = usize>,
+    ) -> FxHashMap<u32, u64> {
         let mut counts: FxHashMap<u32, u64> = FxHashMap::default();
-        for &e in entries {
+        for e in entries {
             for (&t, &c) in &self.per_entry[e] {
                 *counts.entry(t).or_insert(0) += c as u64;
             }
@@ -232,14 +235,21 @@ impl Vios {
 
     /// Number of distinct tuples participating in at least one pair of the
     /// given entries (used by the `f2` approximation function).
-    pub fn distinct_tuples(&self, entries: &[usize]) -> usize {
-        use adc_data::fx::FxHashSet;
-        let mut tuples: FxHashSet<u32> = FxHashSet::default();
-        for &e in entries {
+    pub fn distinct_tuples(&self, entries: impl IntoIterator<Item = usize>) -> usize {
+        // A bitmap over tuple ids, grown to the largest id seen: far cheaper
+        // per tuple than a hash set.
+        let mut seen: Vec<u64> = Vec::new();
+        for e in entries {
             // conformance: allow(unordered) — order collapses into a set cardinality; only the count escapes
-            tuples.extend(self.per_entry[e].keys().copied());
+            for &t in self.per_entry[e].keys() {
+                let word = t as usize / 64;
+                if word >= seen.len() {
+                    seen.resize(word + 1, 0);
+                }
+                seen[word] |= 1 << (t % 64);
+            }
         }
-        tuples.len()
+        seen.iter().map(|w| w.count_ones() as usize).sum()
     }
 }
 
@@ -345,7 +355,7 @@ mod tests {
         v.record_pair(0, 0, 1);
         v.record_pair(1, 0, 2);
         v.record_pair(2, 3, 4);
-        let counts = v.accumulate_counts(&[0, 1]);
+        let counts = v.accumulate_counts([0, 1]);
         assert_eq!(counts.get(&0).copied(), Some(2));
         assert_eq!(counts.get(&1).copied(), Some(1));
         assert_eq!(counts.get(&2).copied(), Some(1));
@@ -358,10 +368,13 @@ mod tests {
         v.record_pair(0, 0, 1);
         v.record_pair(1, 1, 2);
         v.record_pair(2, 4, 5);
-        assert_eq!(v.distinct_tuples(&[0, 1]), 3);
-        assert_eq!(v.distinct_tuples(&[2]), 2);
-        assert_eq!(v.distinct_tuples(&[]), 0);
-        assert_eq!(v.distinct_tuples(&[0, 1, 2]), 5);
+        assert_eq!(v.distinct_tuples([0, 1]), 3);
+        assert_eq!(v.distinct_tuples([2]), 2);
+        assert_eq!(v.distinct_tuples([]), 0);
+        assert_eq!(v.distinct_tuples([0, 1, 2]), 5);
+        // Tuple ids past the first 64-bit word.
+        v.record_pair(3, 1, 130);
+        assert_eq!(v.distinct_tuples([0, 3]), 3);
     }
 
     #[test]

@@ -27,7 +27,10 @@
 //!
 //! The scoring function is supplied by the caller and must satisfy the
 //! monotonicity and indifference-to-redundancy axioms for the enumeration to
-//! be complete (see `adc-approx`).
+//! be complete (see `adc-approx`). Under indifference to redundancy a score
+//! depends only on which subsets a set leaves unhit, and every search node
+//! already holds those lists, so the enumerator hands them to the score along
+//! with the set (see [`enumerate_approx_minimal_hitting_sets`]).
 
 use crate::search::{
     resume_search, run_search_resumable, NodeDisposition, SearchBudget, SearchConfig, SearchDriver,
@@ -145,8 +148,17 @@ pub struct ApproxEnumStats {
 /// Enumerate all minimal approximate hitting sets of `system` w.r.t. the
 /// scoring function `score` and the threshold in `config`.
 ///
-/// `score(X)` must return `f(X) ∈ [0, 1]`; the callback receives each
-/// minimal set and may return `false` to stop early. Returns run statistics.
+/// `score(X, unhit)` must return `f(X) ∈ [0, 1]`. `unhit` holds the indexes
+/// of the subsets `X` misses, as ascending, pairwise-disjoint runs whose
+/// union is exactly that set, so a score that depends only on the unhit
+/// subsets need not rescan the system:
+///
+/// * the threshold test of a node passes `[uncov]`;
+/// * `IsMinimal` for `S \ {s[i]}` passes `[uncov, crit[i]]`;
+/// * `WillCover` passes the uncovered subsets no remaining candidate hits.
+///
+/// The callback receives each minimal set and may return `false` to stop
+/// early. Returns run statistics.
 pub fn enumerate_approx_minimal_hitting_sets<S, F>(
     system: &SetSystem,
     score: S,
@@ -154,7 +166,7 @@ pub fn enumerate_approx_minimal_hitting_sets<S, F>(
     mut callback: F,
 ) -> ApproxEnumStats
 where
-    S: Fn(&FixedBitSet) -> f64,
+    S: Fn(&FixedBitSet, &[&[u32]]) -> f64,
     F: FnMut(&FixedBitSet) -> bool,
 {
     search_approx_minimal_hitting_sets(system, score, config, &mut callback).0
@@ -170,7 +182,7 @@ pub fn search_approx_minimal_hitting_sets<S, F>(
     callback: &mut F,
 ) -> (ApproxEnumStats, SearchOutcome)
 where
-    S: Fn(&FixedBitSet) -> f64,
+    S: Fn(&FixedBitSet, &[&[u32]]) -> f64,
     F: FnMut(&FixedBitSet) -> bool,
 {
     let (stats, outcome, _) =
@@ -190,7 +202,7 @@ pub fn search_approx_minimal_hitting_sets_resumable<S, F>(
     callback: &mut F,
 ) -> (ApproxEnumStats, SearchOutcome, Option<SuspendedSearch>)
 where
-    S: Fn(&FixedBitSet) -> f64,
+    S: Fn(&FixedBitSet, &[&[u32]]) -> f64,
     F: FnMut(&FixedBitSet) -> bool,
 {
     approx_run(system, score, config, None, callback)
@@ -207,7 +219,7 @@ pub fn resume_approx_minimal_hitting_sets<S, F>(
     callback: &mut F,
 ) -> (ApproxEnumStats, SearchOutcome, Option<SuspendedSearch>)
 where
-    S: Fn(&FixedBitSet) -> f64,
+    S: Fn(&FixedBitSet, &[&[u32]]) -> f64,
     F: FnMut(&FixedBitSet) -> bool,
 {
     approx_run(system, score, config, Some(suspended), callback)
@@ -245,7 +257,7 @@ fn approx_run<S, F>(
     callback: &mut F,
 ) -> (ApproxEnumStats, SearchOutcome, Option<SuspendedSearch>)
 where
-    S: Fn(&FixedBitSet) -> f64,
+    S: Fn(&FixedBitSet, &[&[u32]]) -> f64,
     F: FnMut(&FixedBitSet) -> bool,
 {
     assert!(config.epsilon >= 0.0, "epsilon must be non-negative");
@@ -259,7 +271,9 @@ where
     let mut driver = ApproxDriver {
         score: &score,
         epsilon: config.epsilon,
-        element_groups: config.element_groups,
+        group_peers: config
+            .element_groups
+            .map(|groups| group_masks(groups, system.num_elements())),
         will_cover_pruning: config.will_cover_pruning,
         score_evaluations: 0,
     };
@@ -289,7 +303,7 @@ pub fn approx_minimal_hitting_sets<S>(
     config: &ApproxEnumConfig<'_>,
 ) -> Vec<FixedBitSet>
 where
-    S: Fn(&FixedBitSet) -> f64,
+    S: Fn(&FixedBitSet, &[&[u32]]) -> f64,
 {
     let mut out = Vec::new();
     enumerate_approx_minimal_hitting_sets(system, score, config, |s| {
@@ -299,36 +313,50 @@ where
     out
 }
 
+/// Per element, the mask of every element in its structure group, so that
+/// suppressing the group is one bitset difference.
+fn group_masks(groups: &[usize], num_elements: usize) -> Vec<FixedBitSet> {
+    let num_groups = groups.iter().max().map_or(0, |&g| g + 1);
+    let mut by_group = vec![FixedBitSet::new(num_elements); num_groups];
+    for (element, &group) in groups.iter().enumerate() {
+        by_group[group].insert(element);
+    }
+    groups.iter().map(|&g| by_group[g].clone()).collect()
+}
+
 /// The `ADCEnum` configuration of the search engine: ε-acceptance base case
 /// with the explicit `IsMinimal` check, the non-hitting branch guarded by
 /// `WillCover`, and redundant-group suppression.
-struct ApproxDriver<'a, S: Fn(&FixedBitSet) -> f64> {
+struct ApproxDriver<'a, S: Fn(&FixedBitSet, &[&[u32]]) -> f64> {
     score: &'a S,
     epsilon: f64,
-    element_groups: Option<&'a [usize]>,
+    group_peers: Option<Vec<FixedBitSet>>,
     will_cover_pruning: bool,
     score_evaluations: u64,
 }
 
-impl<S: Fn(&FixedBitSet) -> f64> ApproxDriver<'_, S> {
-    fn meets_threshold(&mut self, set: &FixedBitSet) -> bool {
+impl<S: Fn(&FixedBitSet, &[&[u32]]) -> f64> ApproxDriver<'_, S> {
+    fn meets_threshold(&mut self, set: &FixedBitSet, unhit: &[&[u32]]) -> bool {
         self.score_evaluations += 1;
-        1.0 - (self.score)(set) <= self.epsilon
+        1.0 - (self.score)(set, unhit) <= self.epsilon
     }
 }
 
-impl<S: Fn(&FixedBitSet) -> f64> SearchDriver for ApproxDriver<'_, S> {
+impl<S: Fn(&FixedBitSet, &[&[u32]]) -> f64> SearchDriver for ApproxDriver<'_, S> {
     fn classify(&mut self, _system: &SetSystem, node: &SearchNode) -> NodeDisposition {
         // Base case: once the threshold is met, no strict superset can be
         // minimal (monotonicity), so the node is terminal either way.
-        if !self.meets_threshold(node.solution()) {
+        if !self.meets_threshold(node.solution(), &[node.uncov()]) {
             return NodeDisposition::Expand;
         }
         // `IsMinimal` of Figure 5: no single-element removal stays within ε.
-        for &e in node.elements() {
-            let mut smaller = node.solution().clone();
+        // Dropping `s[i]` un-hits exactly the subsets only it hit.
+        let mut smaller = node.solution().clone();
+        for (i, &e) in node.elements().iter().enumerate() {
             smaller.remove(e);
-            if self.meets_threshold(&smaller) {
+            let within = self.meets_threshold(&smaller, &[node.uncov(), node.crit(i)]);
+            smaller.insert(e);
+            if within {
                 return NodeDisposition::Discard;
             }
         }
@@ -344,14 +372,15 @@ impl<S: Fn(&FixedBitSet) -> f64> SearchDriver for ApproxDriver<'_, S> {
         _system: &SetSystem,
         solution: &FixedBitSet,
         cand: &FixedBitSet,
+        unhittable: &[u32],
     ) -> bool {
         // `WillCover` of Figure 5: could adding every remaining candidate
         // reach ε? (Skippable only for ablation studies.)
-        !self.will_cover_pruning || self.meets_threshold(&solution.union(cand))
+        !self.will_cover_pruning || self.meets_threshold(&solution.union(cand), &[unhittable])
     }
 
-    fn group_of(&self, element: usize) -> Option<usize> {
-        self.element_groups.map(|groups| groups[element])
+    fn group_peers(&self, element: usize) -> Option<&FixedBitSet> {
+        self.group_peers.as_ref().map(|masks| &masks[element])
     }
 
     fn unhittable_is_fatal(&self) -> bool {
@@ -378,23 +407,35 @@ mod tests {
         v
     }
 
-    /// A weighted coverage score: fraction of subset weight hit. Monotone and
-    /// indifferent to redundancy by construction — the same family `f1`
-    /// belongs to.
-    fn coverage_score(system: &SetSystem, weights: Vec<u64>) -> impl Fn(&FixedBitSet) -> f64 + '_ {
+    /// A weighted coverage score: fraction of subset weight hit, computed
+    /// from the unhit runs the enumerator passes. Monotone and indifferent to
+    /// redundancy by construction — the same family `f1` belongs to.
+    fn coverage_score(weights: Vec<u64>) -> impl Fn(&FixedBitSet, &[&[u32]]) -> f64 {
         let total: u64 = weights.iter().sum();
-        move |set: &FixedBitSet| {
+        move |_set: &FixedBitSet, unhit: &[&[u32]]| {
             if total == 0 {
                 return 1.0;
             }
-            let hit: u64 = system
-                .subsets()
+            let missed: u64 = unhit
                 .iter()
-                .zip(&weights)
-                .filter(|(f, _)| f.intersects(set))
-                .map(|(_, w)| *w)
+                .flat_map(|run| run.iter())
+                .map(|&i| weights[i as usize])
                 .sum();
-            hit as f64 / total as f64
+            (total - missed) as f64 / total as f64
+        }
+    }
+
+    /// `score` with the unhit subsets found by scanning the system, for the
+    /// brute-force reference.
+    fn scanned<'a>(
+        system: &'a SetSystem,
+        score: &'a impl Fn(&FixedBitSet, &[&[u32]]) -> f64,
+    ) -> impl Fn(&FixedBitSet) -> f64 + 'a {
+        move |set: &FixedBitSet| {
+            let unhit: Vec<u32> = (0..system.len() as u32)
+                .filter(|&i| !system.subsets()[i as usize].intersects(set))
+                .collect();
+            score(set, &[&unhit])
         }
     }
 
@@ -402,7 +443,7 @@ mod tests {
     fn epsilon_zero_matches_exact_mmcs() {
         let sys = SetSystem::from_indices(5, &[&[0, 1], &[1, 2], &[2, 3], &[3, 4]]);
         let weights = vec![1u64; sys.len()];
-        let score = coverage_score(&sys, weights);
+        let score = coverage_score(weights);
         let cfg = ApproxEnumConfig::new(0.0);
         let approx = approx_minimal_hitting_sets(&sys, &score, &cfg);
         let exact = brute_force_minimal_hitting_sets(&sys);
@@ -413,7 +454,7 @@ mod tests {
     fn allows_missing_low_weight_subsets() {
         // Subsets: {0} (weight 9), {1} (weight 1). With ε = 0.2 we may miss {1}.
         let sys = SetSystem::from_indices(2, &[&[0], &[1]]);
-        let score = coverage_score(&sys, vec![9, 1]);
+        let score = coverage_score(vec![9, 1]);
         let cfg = ApproxEnumConfig::new(0.2);
         let found = approx_minimal_hitting_sets(&sys, &score, &cfg);
         // {0} misses only 10% of the weight -> approximate and minimal.
@@ -423,7 +464,7 @@ mod tests {
     #[test]
     fn empty_set_emitted_when_threshold_is_loose() {
         let sys = SetSystem::from_indices(3, &[&[0], &[1], &[2]]);
-        let score = coverage_score(&sys, vec![1, 1, 1]);
+        let score = coverage_score(vec![1, 1, 1]);
         let cfg = ApproxEnumConfig::new(1.0);
         let found = approx_minimal_hitting_sets(&sys, &score, &cfg);
         assert_eq!(found.len(), 1);
@@ -452,9 +493,10 @@ mod tests {
                 weights.push(rng.gen_range(1..5) as u64);
             }
             let sys = SetSystem::new(m, subsets);
-            let score = coverage_score(&sys, weights);
+            let score = coverage_score(weights);
             let epsilon = [0.0, 0.1, 0.25, 0.5][trial % 4];
-            let expected = brute_force_minimal_approx_hitting_sets(m, &score, epsilon);
+            let expected =
+                brute_force_minimal_approx_hitting_sets(m, scanned(&sys, &score), epsilon);
             for strategy in [
                 BranchStrategy::MaxIntersection,
                 BranchStrategy::MinIntersection,
@@ -491,7 +533,7 @@ mod tests {
                 subsets.push(s);
             }
             let sys = SetSystem::new(m, subsets);
-            let score = coverage_score(&sys, vec![1; sys.len()]);
+            let score = coverage_score(vec![1; sys.len()]);
             let on = approx_minimal_hitting_sets(
                 &sys,
                 &score,
@@ -512,7 +554,7 @@ mod tests {
         // {0,1}-ish structures. Without groups the pair {0,1} could appear;
         // with groups it must not.
         let sys = SetSystem::from_indices(4, &[&[0, 2], &[1, 3]]);
-        let score = coverage_score(&sys, vec![1, 1]);
+        let score = coverage_score(vec![1, 1]);
         let groups = vec![0, 0, 1, 2];
         let cfg = ApproxEnumConfig::new(0.0).with_element_groups(&groups);
         let found = approx_minimal_hitting_sets(&sys, &score, &cfg);
@@ -532,7 +574,7 @@ mod tests {
     #[test]
     fn max_results_stops_early() {
         let sys = SetSystem::from_indices(6, &[&[0, 1], &[2, 3], &[4, 5]]);
-        let score = coverage_score(&sys, vec![1, 1, 1]);
+        let score = coverage_score(vec![1, 1, 1]);
         let cfg = ApproxEnumConfig::new(0.0).with_max_results(3);
         let mut seen = 0usize;
         let stats = enumerate_approx_minimal_hitting_sets(&sys, &score, &cfg, |_| {
@@ -547,7 +589,7 @@ mod tests {
     fn max_results_reports_truncation_via_outcome() {
         use crate::search::TruncationReason;
         let sys = SetSystem::from_indices(6, &[&[0, 1], &[2, 3], &[4, 5]]);
-        let score = coverage_score(&sys, vec![1, 1, 1]);
+        let score = coverage_score(vec![1, 1, 1]);
         let cfg = ApproxEnumConfig::new(0.0)
             .with_max_results(3)
             .with_order(SearchOrder::ShortestFirst);
@@ -580,7 +622,7 @@ mod tests {
                 subsets.push(s);
             }
             let sys = SetSystem::new(m, subsets);
-            let score = coverage_score(&sys, vec![1; sys.len()]);
+            let score = coverage_score(vec![1; sys.len()]);
             let dfs = approx_minimal_hitting_sets(&sys, &score, &ApproxEnumConfig::new(0.2));
             let sf = approx_minimal_hitting_sets(
                 &sys,
@@ -598,7 +640,7 @@ mod tests {
     #[test]
     fn stats_are_populated() {
         let sys = SetSystem::from_indices(4, &[&[0, 1], &[1, 2], &[2, 3]]);
-        let score = coverage_score(&sys, vec![1, 1, 1]);
+        let score = coverage_score(vec![1, 1, 1]);
         let cfg = ApproxEnumConfig::new(0.0);
         let stats = enumerate_approx_minimal_hitting_sets(&sys, &score, &cfg, |_| true);
         assert!(stats.recursive_calls > 0);
@@ -626,7 +668,7 @@ mod tests {
                 subsets.push(s);
             }
             let sys = SetSystem::new(m, subsets);
-            let score = coverage_score(&sys, vec![1; sys.len()]);
+            let score = coverage_score(vec![1; sys.len()]);
             let cfg = ApproxEnumConfig::new(0.2);
             let found = approx_minimal_hitting_sets(&sys, &score, &cfg);
             let mut sorted = as_sorted_vecs(&found);
@@ -640,7 +682,7 @@ mod tests {
     #[should_panic(expected = "epsilon must be non-negative")]
     fn negative_epsilon_rejected() {
         let sys = SetSystem::from_indices(2, &[&[0]]);
-        let score = coverage_score(&sys, vec![1]);
+        let score = coverage_score(vec![1]);
         approx_minimal_hitting_sets(&sys, &score, &ApproxEnumConfig::new(-0.1));
     }
 
@@ -648,7 +690,7 @@ mod tests {
     #[should_panic(expected = "element_groups length")]
     fn wrong_group_length_rejected() {
         let sys = SetSystem::from_indices(3, &[&[0]]);
-        let score = coverage_score(&sys, vec![1]);
+        let score = coverage_score(vec![1]);
         let groups = vec![0, 1];
         approx_minimal_hitting_sets(
             &sys,
@@ -667,9 +709,9 @@ mod tests {
             let m = 6;
             let refs: Vec<&[usize]> = subsets.iter().map(|s| s.as_slice()).collect();
             let sys = SetSystem::from_indices(m, &refs);
-            let score = coverage_score(&sys, vec![1; sys.len()]);
+            let score = coverage_score(vec![1; sys.len()]);
             let epsilon = eps_percent as f64 / 100.0;
-            let expected = brute_force_minimal_approx_hitting_sets(m, &score, epsilon);
+            let expected = brute_force_minimal_approx_hitting_sets(m, scanned(&sys, &score), epsilon);
             let found = approx_minimal_hitting_sets(&sys, &score, &ApproxEnumConfig::new(epsilon));
             prop_assert_eq!(as_sorted_vecs(&found), as_sorted_vecs(&expected));
         }

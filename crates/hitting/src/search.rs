@@ -282,8 +282,10 @@ impl SearchNode {
         self.lists.region(0)
     }
 
-    /// `crit[i]`: the subsets for which `s[i]` is the only hitter.
-    fn crit(&self, i: usize) -> &[u32] {
+    /// `crit[i]`: the subsets for which `s[i]` is the only hitter, in stable
+    /// ascending order. `uncov` and `crit[i]` are disjoint, and together they
+    /// are exactly the subsets the solution without `s[i]` leaves unhit.
+    pub(crate) fn crit(&self, i: usize) -> &[u32] {
         self.lists.region(i + 1)
     }
 }
@@ -318,20 +320,25 @@ pub trait SearchDriver {
 
     /// Given the reduced candidate list of the non-hitting branch, decide
     /// whether that branch is worth exploring (the `WillCover` pruning).
-    /// Only called when [`Self::wants_skip_branch`] is `true`.
+    /// `unhittable` lists, in ascending order, exactly the subsets that
+    /// `solution ∪ cand` leaves unhit: the uncovered subsets no remaining
+    /// candidate can reach. Only called when [`Self::wants_skip_branch`] is
+    /// `true`.
     fn explore_skip_branch(
         &mut self,
         _system: &SetSystem,
         _solution: &FixedBitSet,
         _cand: &FixedBitSet,
+        _unhittable: &[u32],
     ) -> bool {
         true
     }
 
-    /// Structure group of an element, if redundant-group suppression applies:
-    /// when an element enters the solution, the rest of its group leaves the
-    /// candidate list for that branch.
-    fn group_of(&self, _element: usize) -> Option<usize> {
+    /// The structure group of an element as a mask over the element
+    /// universe, if redundant-group suppression applies: when an element
+    /// enters the solution, the rest of its group leaves the candidate list
+    /// for that branch. The mask may contain the element itself.
+    fn group_peers(&self, _element: usize) -> Option<&FixedBitSet> {
         None
     }
 
@@ -958,17 +965,23 @@ fn expand<D: SearchDriver>(
         // Branch that does NOT hit the chosen subset: every element of the
         // subset leaves the candidate list, and any uncovered subset left
         // without candidates is marked unhittable (`UpdateCanCover`).
+        // A subset already marked unhittable misses an ancestor's candidates,
+        // and candidate lists only shrink down a path, so it misses
+        // `skip_cand` too: `unhittable` collects exactly the uncovered
+        // subsets that `S ∪ skip_cand` leaves unhit.
         let mut skip_cand = node.cand.clone();
         skip_cand.difference_with(subset);
         let mut skip_can_hit = node.can_hit.as_ref().clone();
+        let mut unhittable: Vec<u32> = Vec::new();
         for &fi in node.uncov() {
-            if skip_can_hit.contains(fi as usize)
-                && !system.subsets()[fi as usize].intersects(&skip_cand)
-            {
+            if !skip_can_hit.contains(fi as usize) {
+                unhittable.push(fi);
+            } else if !system.subsets()[fi as usize].intersects(&skip_cand) {
                 skip_can_hit.remove(fi as usize);
+                unhittable.push(fi);
             }
         }
-        if driver.explore_skip_branch(system, &node.s_set, &skip_cand) {
+        if driver.explore_skip_branch(system, &node.s_set, &skip_cand, &unhittable) {
             children.push(SearchNode {
                 s: node.s.clone(),
                 s_set: node.s_set.clone(),
@@ -1051,14 +1064,10 @@ fn expand<D: SearchDriver>(
         });
 
         let mut cand = base_cand.clone();
-        if let Some(group) = driver.group_of(e) {
+        if let Some(peers) = driver.group_peers(e) {
             // RemoveRedundantPreds: same-group elements leave the candidate
-            // list for this branch only.
-            for other in 0..system.num_elements() {
-                if other != e && driver.group_of(other) == Some(group) && cand.contains(other) {
-                    cand.remove(other);
-                }
-            }
+            // list for this branch only (`e` itself is not in `base_cand`).
+            cand.difference_with(peers);
         }
         let mut s = node.s.clone();
         s.push(e);
@@ -1321,22 +1330,18 @@ fn inplace_walk<D, F>(
         }
         new_crit.push(covered);
 
-        let mut group_removed: Vec<usize> = Vec::new();
-        if let Some(group) = ctx.driver.group_of(e) {
-            for other in 0..ctx.system.num_elements() {
-                if other != e && ctx.driver.group_of(other) == Some(group) && cand.contains(other) {
-                    cand.remove(other);
-                    group_removed.push(other);
-                }
-            }
-        }
+        let group_removed = ctx.driver.group_peers(e).map(|peers| {
+            let removed = cand.intersection(peers);
+            cand.difference_with(peers);
+            removed
+        });
         s.push(e);
         s_set.insert(e);
         inplace_walk(ctx, s, s_set, cand, &kept, &new_crit, can_hit, depth + 1);
         s.pop();
         s_set.remove(e);
-        for other in group_removed {
-            cand.insert(other);
+        if let Some(removed) = group_removed {
+            cand.union_with(&removed);
         }
         cand.insert(e);
         if ctx.stopped {

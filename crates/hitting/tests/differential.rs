@@ -6,6 +6,8 @@
 //! frontier orders of the shared search engine are differentials too:
 //! `ShortestFirst` and `Dfs` must emit identical cover sets, and the
 //! `ShortestFirst` emission sequence must be nondecreasing in cover size.
+//! Every score call of the approximate enumerator receives the unhit subsets
+//! as runs, and the suites check those runs against a scan of the system.
 //!
 //! Case count is controlled by `PROPTEST_CASES` (default 256); CI runs the
 //! suite with a raised count.
@@ -79,19 +81,59 @@ fn assert_nondecreasing_sizes(sets: &[FixedBitSet], context: &str) {
 }
 
 /// The exact-cover score used to drive the approximate enumerator at ε = 0:
-/// the fraction of subsets hit (monotone, 1 exactly on hitting sets).
-fn coverage_score(system: &SetSystem) -> impl Fn(&FixedBitSet) -> f64 + '_ {
-    move |set: &FixedBitSet| {
+/// the fraction of subsets hit (monotone, 1 exactly on hitting sets),
+/// counted from the unhit runs the enumerator passes.
+fn coverage_score(system: &SetSystem) -> impl Fn(&FixedBitSet, &[&[u32]]) -> f64 + '_ {
+    move |_set: &FixedBitSet, unhit: &[&[u32]]| {
         if system.is_empty() {
             return 1.0;
         }
-        system
-            .subsets()
-            .iter()
-            .filter(|s| s.intersects(set))
-            .count() as f64
-            / system.len() as f64
+        let missed: usize = unhit.iter().map(|run| run.len()).sum();
+        (system.len() - missed) as f64 / system.len() as f64
     }
+}
+
+/// The subsets of `system` that `set` misses, ascending: the brute-force
+/// scan every run list the enumerator passes must agree with.
+fn scan_unhit(system: &SetSystem, set: &FixedBitSet) -> Vec<u32> {
+    (0..system.len() as u32)
+        .filter(|&i| !system.subsets()[i as usize].intersects(set))
+        .collect()
+}
+
+/// [`coverage_score`] that first checks the run list it receives: every run
+/// ascending, the runs pairwise disjoint, and their union exactly the
+/// subsets the scored set misses.
+fn checked_coverage_score(system: &SetSystem) -> impl Fn(&FixedBitSet, &[&[u32]]) -> f64 + '_ {
+    let score = coverage_score(system);
+    move |set: &FixedBitSet, unhit: &[&[u32]]| {
+        let mut union: Vec<u32> = Vec::new();
+        for run in unhit {
+            assert!(
+                run.windows(2).all(|w| w[0] < w[1]),
+                "run {run:?} is not ascending"
+            );
+            union.extend_from_slice(run);
+        }
+        union.sort_unstable();
+        assert!(
+            union.windows(2).all(|w| w[0] < w[1]),
+            "runs {unhit:?} overlap"
+        );
+        assert_eq!(
+            union,
+            scan_unhit(system, set),
+            "runs {unhit:?} are not the subsets {:?} misses",
+            set.to_vec()
+        );
+        score(set, unhit)
+    }
+}
+
+/// The same coverage fraction from a scan, for the brute-force reference.
+fn scanned_coverage_score(system: &SetSystem) -> impl Fn(&FixedBitSet) -> f64 + '_ {
+    let score = coverage_score(system);
+    move |set: &FixedBitSet| score(set, &[&scan_unhit(system, set)])
 }
 
 /// Normalise a family for comparison.
@@ -138,7 +180,7 @@ fn mmcs_sliced(
 /// Same slicing harness for the approximate enumerator.
 fn approx_sliced(
     system: &SetSystem,
-    score: impl Fn(&FixedBitSet) -> f64,
+    score: impl Fn(&FixedBitSet, &[&[u32]]) -> f64,
     config: &ApproxEnumConfig<'_>,
 ) -> (Vec<Vec<usize>>, usize) {
     let mut covers: Vec<Vec<usize>> = Vec::new();
@@ -441,12 +483,74 @@ proptest! {
         let score = coverage_score(&system);
         let reference = canon(brute_force_minimal_approx_hitting_sets(
             system.num_elements(),
-            &score,
+            scanned_coverage_score(&system),
             epsilon,
         ));
         let config = ApproxEnumConfig::new(epsilon);
         let found = canon(approx_minimal_hitting_sets(&system, &score, &config));
         prop_assert_eq!(found, reference);
+    }
+}
+
+proptest! {
+    #[test]
+    fn score_runs_are_exactly_the_unhit_subsets(
+        universe_seed in 0usize..1_000,
+        raw_subsets in vec(vec(0usize..16, 1..5), 1..8),
+        raw_groups in vec(0usize..4, 10..11),
+        epsilon_mil in 0usize..400,
+        node_slice in 1u64..12,
+        cap in 1usize..8,
+    ) {
+        // Every score call — threshold test, `IsMinimal`, `WillCover` — gets
+        // the unhit subsets as runs; `checked_coverage_score` compares them
+        // with a scan of the system, in every traversal the engine offers.
+        let epsilon = epsilon_mil as f64 / 1_000.0 + 0.000_5;
+        let system = build_system(universe_seed, &raw_subsets);
+        let groups = &raw_groups[..system.num_elements()];
+        let score = checked_coverage_score(&system);
+        for eps in [0.0, epsilon] {
+            for strategy in [
+                BranchStrategy::MaxIntersection,
+                BranchStrategy::MinIntersection,
+                BranchStrategy::First,
+            ] {
+                for grouped in [false, true] {
+                    let mut base = ApproxEnumConfig::new(eps).with_strategy(strategy);
+                    if grouped {
+                        base = base.with_element_groups(groups);
+                    }
+                    for order in [SearchOrder::Dfs, SearchOrder::ShortestFirst] {
+                        let config = base.clone().with_order(order);
+                        let whole = canon(approx_minimal_hitting_sets(&system, &score, &config));
+                        let (sliced, _) = approx_sliced(
+                            &system,
+                            &score,
+                            &config
+                                .clone()
+                                .with_budget(SearchBudget::unlimited().with_max_nodes(node_slice)),
+                        );
+                        let mut sliced = sliced;
+                        sliced.sort();
+                        prop_assert_eq!(sliced, whole, "ε={} {:?} {:?}", eps, strategy, order);
+                    }
+                    let bounded = base
+                        .clone()
+                        .with_order(SearchOrder::ShortestFirst)
+                        .with_budget(SearchBudget::unlimited().with_max_frontier_nodes(cap));
+                    approx_minimal_hitting_sets(&system, &score, &bounded);
+                    approx_sliced(
+                        &system,
+                        &score,
+                        &bounded.clone().with_budget(
+                            SearchBudget::unlimited()
+                                .with_max_frontier_nodes(cap)
+                                .with_max_nodes(node_slice),
+                        ),
+                    );
+                }
+            }
+        }
     }
 }
 
@@ -603,7 +707,7 @@ proptest! {
         let mut covers: Vec<FixedBitSet> = Vec::new();
         let (_, _, suspended) = search_approx_minimal_hitting_sets_resumable(
             &system,
-            coverage_score(&system),
+            checked_coverage_score(&system),
             &config,
             &mut |s| {
                 covers.push(s.clone());
@@ -627,12 +731,14 @@ proptest! {
         prop_assert!(
             patch_approx_search(&mut token, &grown, &config, appended_from).is_some()
         );
+        // The checked score also pins the unhit runs of the patched frontier
+        // against the grown system.
         let resume_config = ApproxEnumConfig::new(0.0).with_order(SearchOrder::ShortestFirst);
         let mut next = Some(token);
         while let Some(t) = next.take() {
             let (_, _, again) = resume_approx_minimal_hitting_sets(
                 &grown,
-                coverage_score(&grown),
+                checked_coverage_score(&grown),
                 &resume_config,
                 t,
                 &mut |s| {

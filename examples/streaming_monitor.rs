@@ -121,13 +121,12 @@ fn main() {
             .find(|dc| dc.display(&space).to_string() == **rule)
             .expect("retired rule came from the previous answer");
         let pred_set = dc.predicate_set(&space);
-        let violating: Vec<usize> = entries
+        let violating = entries
             .iter()
             .enumerate()
             .filter(|(_, e)| pred_set.is_subset(&e.set))
-            .map(|(i, _)| i)
-            .collect();
-        let mut counts: Vec<(u32, u64)> = vios.accumulate_counts(&violating).into_iter().collect();
+            .map(|(i, _)| i);
+        let mut counts: Vec<(u32, u64)> = vios.accumulate_counts(violating).into_iter().collect();
         counts.sort_by_key(|&(t, c)| (std::cmp::Reverse(c), t));
         println!("\ntuples violating the retired rule `{rule}`:");
         for (tuple, pairs) in counts.iter().take(5) {
