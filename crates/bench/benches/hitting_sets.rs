@@ -4,8 +4,7 @@
 
 use adc_data::FixedBitSet;
 use adc_hitting::{
-    approx::approx_minimal_hitting_sets, mmcs::minimal_hitting_sets,
-    mmcs::search_minimal_hitting_sets, ApproxEnumConfig, BranchStrategy, SearchBudget, SearchOrder,
+    ApproxDriver, BranchStrategy, ExactDriver, Search, SearchBudget, SearchDriver, SearchOrder,
     SetSystem,
 };
 use criterion::{criterion_group, criterion_main, Criterion};
@@ -40,6 +39,11 @@ fn coverage_score(system: &SetSystem) -> impl Fn(&FixedBitSet, &[&[u32]]) -> f64
     }
 }
 
+/// Number of results `search` emits with `driver`.
+fn count(system: &SetSystem, search: Search<'_>, driver: &mut impl SearchDriver) -> usize {
+    search.run(system, driver, &mut |_| true).emitted
+}
+
 fn bench(c: &mut Criterion) {
     let mut group = c.benchmark_group("hitting_sets");
     group.sample_size(10);
@@ -48,30 +52,26 @@ fn bench(c: &mut Criterion) {
     // Unbudgeted DFS takes the in-place undo walk (the recursive kernel's
     // cost profile); forcing any budget falls back to the explicit snapshot
     // frontier, so the pair measures exactly what the undo hybrid reclaims.
+    let dfs = Search::new(BranchStrategy::MinIntersection, SearchOrder::Dfs);
     group.bench_function("mmcs_exact", |b| {
-        b.iter(|| minimal_hitting_sets(&system, BranchStrategy::MinIntersection).len())
+        b.iter(|| count(&system, dfs.clone(), &mut ExactDriver))
     });
     group.bench_function("mmcs_exact_engine", |b| {
-        b.iter(|| {
-            let mut count = 0usize;
-            search_minimal_hitting_sets(
-                &system,
-                BranchStrategy::MinIntersection,
-                SearchOrder::Dfs,
-                SearchBudget::unlimited().with_max_nodes(u64::MAX),
-                &mut |_: &FixedBitSet| {
-                    count += 1;
-                    true
-                },
-            );
-            count
-        })
+        let forced = dfs
+            .clone()
+            .budget(SearchBudget::unlimited().with_max_nodes(u64::MAX));
+        b.iter(|| count(&system, forced.clone(), &mut ExactDriver))
     });
     for epsilon in [0.0, 0.05, 0.15] {
         group.bench_function(format!("approx_eps_{epsilon}"), |b| {
             let score = coverage_score(&system);
+            let search = Search::new(BranchStrategy::default(), SearchOrder::Dfs);
             b.iter(|| {
-                approx_minimal_hitting_sets(&system, &score, &ApproxEnumConfig::new(epsilon)).len()
+                count(
+                    &system,
+                    search.clone(),
+                    &mut ApproxDriver::new(&score, epsilon),
+                )
             })
         });
     }

@@ -13,8 +13,7 @@ use adc_approx::{ApproxContext, ApproximationFunction};
 use adc_data::FixedBitSet;
 use adc_evidence::Evidence;
 use adc_hitting::{
-    resume_approx_minimal_hitting_sets, search_approx_minimal_hitting_sets_resumable,
-    ApproxEnumConfig, ApproxEnumStats, BranchStrategy, SearchBudget, SearchOrder, SetSystem,
+    ApproxDriver, ApproxEnumStats, BranchStrategy, Search, SearchBudget, SearchOrder, SetSystem,
     SuspendedSearch, TruncationReason,
 };
 use adc_predicates::{DenialConstraint, PredicateSpace};
@@ -86,7 +85,7 @@ impl EnumerationResume {
 }
 
 /// Result of one enumeration run.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct EnumerationOutcome {
     /// The discovered minimal ADCs (non-trivial, non-empty), in emission order.
     pub dcs: Vec<DenialConstraint>,
@@ -163,27 +162,9 @@ pub fn enumerate_adcs(
     run_adcs(space, evidence, f, options, None, None)
 }
 
-/// Like [`enumerate_adcs`], but also captures every **raw hitting-set
-/// cover** the engine emits — including the empty cover and covers whose DC
-/// is trivial, both of which [`enumerate_adcs`] filters out before they
-/// reach the result. The differential monitor needs the unfiltered answer
-/// set: `adc_hitting::repair_covers` is exact only when handed the complete
-/// transversal family, and a trivial cover can graft into a non-trivial one
-/// when the system grows.
-pub(crate) fn enumerate_adcs_capturing(
-    space: &PredicateSpace,
-    evidence: &Evidence,
-    f: &dyn ApproximationFunction,
-    options: &EnumerationOptions,
-    covers: &mut Vec<FixedBitSet>,
-) -> EnumerationOutcome {
-    run_adcs(space, evidence, f, options, None, Some(covers))
-}
-
-/// Convert one raw hitting-set cover into its denial constraint, applying
-/// the same filter as [`enumerate_adcs`]: `None` for the empty cover (the
-/// uninformative `¬true`) and for covers whose complement DC is trivially
-/// valid.
+/// Convert one raw hitting-set cover into its denial constraint: `None` for
+/// the empty cover (the uninformative `¬true`) and for covers whose
+/// complement DC is trivially valid.
 pub(crate) fn cover_to_dc(space: &PredicateSpace, cover: &FixedBitSet) -> Option<DenialConstraint> {
     if cover.is_empty() {
         return None;
@@ -212,15 +193,24 @@ pub fn resume_adcs(
     options: &EnumerationOptions,
     resume: EnumerationResume,
 ) -> EnumerationOutcome {
-    run_adcs(space, evidence, f, options, Some(resume.suspended), None)
+    run_adcs(space, evidence, f, options, Some(resume), None)
 }
 
-fn run_adcs(
+/// The one ADC enumeration behind [`enumerate_adcs`], [`resume_adcs`] and
+/// the monitor's restart: a fresh run, or the continuation of `resume`.
+///
+/// `capture`, when given, receives every **raw hitting-set cover** the
+/// engine emits — including the empty cover and covers whose DC is trivial,
+/// which [`cover_to_dc`] filters out of the result. The differential monitor
+/// needs the unfiltered answer set: `adc_hitting::repair_covers` is exact
+/// only when handed the complete transversal family, and a trivial cover can
+/// graft into a non-trivial one when the system grows.
+pub(crate) fn run_adcs(
     space: &PredicateSpace,
     evidence: &Evidence,
     f: &dyn ApproximationFunction,
     options: &EnumerationOptions,
-    suspended: Option<SuspendedSearch>,
+    resume: Option<EnumerationResume>,
     mut capture: Option<&mut Vec<FixedBitSet>>,
 ) -> EnumerationOutcome {
     let evidence_set = &evidence.evidence_set;
@@ -237,19 +227,6 @@ fn run_adcs(
         .collect();
     let system = SetSystem::new(space.len(), subsets);
 
-    let groups: Vec<usize> = (0..space.len()).map(|i| space.group_of(i)).collect();
-    let mut config = ApproxEnumConfig::new(options.epsilon)
-        .with_strategy(options.strategy)
-        .with_will_cover_pruning(options.will_cover_pruning)
-        .with_element_groups(&groups)
-        .with_order(options.order)
-        .with_budget(options.budget);
-    if let Some(max) = options.max_dcs {
-        // Leave headroom for filtered-out trivial/empty sets; the exact DC
-        // cap is enforced in the callback below.
-        config = config.with_max_results(max.saturating_mul(4).max(max));
-    }
-
     let ctx = match (f.requires_vios(), evidence.vios.as_ref()) {
         (true, Some(vios)) => ApproxContext::with_vios(evidence_set, vios),
         // conformance: allow(panic) — configuration precondition with an explanatory message; a typed error here would just be rethrown by every harness caller
@@ -264,36 +241,35 @@ fn run_adcs(
     let score = |hitting_set: &FixedBitSet, uncovered: &[&[u32]]| {
         f.score_uncovered(&ctx, hitting_set, uncovered)
     };
+    let groups: Vec<usize> = (0..space.len()).map(|i| space.group_of(i)).collect();
+    let mut driver = ApproxDriver::new(score, options.epsilon)
+        .element_groups(&groups)
+        .will_cover_pruning(options.will_cover_pruning);
+
+    let mut budget = options.budget;
+    if let Some(max) = options.max_dcs {
+        // Leave headroom for filtered-out trivial/empty sets; the exact DC
+        // cap is enforced in the callback below.
+        let headroom = max.saturating_mul(4).max(max);
+        budget.max_emitted = Some(budget.max_emitted.map_or(headroom, |cap| cap.min(headroom)));
+    }
+    let search = match resume {
+        Some(token) => Search::resume(token.suspended),
+        None => Search::new(options.strategy, options.order),
+    };
 
     let mut dcs = Vec::new();
-    let mut callback = |hitting_set: &FixedBitSet| {
-        if let Some(covers) = capture.as_deref_mut() {
-            covers.push(hitting_set.clone());
-        }
-        if hitting_set.is_empty() {
-            // The empty DC (`¬true`) carries no information.
-            return true;
-        }
-        let dc =
-            DenialConstraint::new(hitting_set.iter().map(|e| space.complement_of(e)).collect());
-        if !dc.is_trivial(space) {
-            dcs.push(dc);
-        }
-        match options.max_dcs {
-            Some(max) => dcs.len() < max,
-            None => true,
-        }
-    };
-    let (stats, search_outcome, next_suspended) = match suspended {
-        None => {
-            search_approx_minimal_hitting_sets_resumable(&system, score, &config, &mut callback)
-        }
-        Some(token) => {
-            resume_approx_minimal_hitting_sets(&system, score, &config, token, &mut callback)
-        }
-    };
+    let outcome = search
+        .budget(budget)
+        .run(&system, &mut driver, &mut |cover: &FixedBitSet| {
+            if let Some(covers) = capture.as_deref_mut() {
+                covers.push(cover.clone());
+            }
+            dcs.extend(cover_to_dc(space, cover));
+            options.max_dcs.is_none_or(|max| dcs.len() < max)
+        });
 
-    let truncation = search_outcome.truncation.map(|t| TruncationInfo {
+    let truncation = outcome.truncation.map(|t| TruncationInfo {
         // The DC cap stops the search through the callback; relabel that as
         // the result cap it is, so callers need not know the mechanism.
         // `MaxEmitted` can also arrive straight from the engine when the
@@ -312,9 +288,17 @@ fn run_adcs(
 
     EnumerationOutcome {
         dcs,
-        stats,
+        stats: ApproxEnumStats {
+            recursive_calls: outcome.nodes_expanded,
+            score_evaluations: driver.score_evaluations(),
+            emitted: outcome.emitted as u64,
+            peak_frontier: outcome.peak_frontier as u64,
+            frontier_contractions: outcome.contractions,
+        },
         truncation,
-        resume: next_suspended.map(|suspended| EnumerationResume { suspended }),
+        resume: outcome
+            .suspended
+            .map(|suspended| EnumerationResume { suspended }),
     }
 }
 
@@ -547,6 +531,24 @@ mod tests {
         let out = enumerate_adcs(&space, &evidence, &F1ViolationRate, &opts);
         assert!(out.dcs.len() <= 3);
         assert!(!out.dcs.is_empty());
+    }
+
+    #[test]
+    fn max_dcs_zero_returns_no_dcs() {
+        let (_, space, evidence) = setup(SpaceConfig::same_column_only());
+        for order in [SearchOrder::Dfs, SearchOrder::ShortestFirst] {
+            let mut opts = EnumerationOptions::new(0.05).with_order(order);
+            opts.max_dcs = Some(0);
+            let out = enumerate_adcs(&space, &evidence, &F1ViolationRate, &opts);
+            assert!(
+                out.dcs.is_empty(),
+                "{order:?} returned {} DCs",
+                out.dcs.len()
+            );
+            assert_eq!(out.stats.emitted, 0);
+            let truncation = out.truncation.expect("a zero cap cuts the run");
+            assert_eq!(truncation.reason, TruncationReason::MaxEmitted);
+        }
     }
 
     #[test]

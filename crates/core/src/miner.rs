@@ -1,13 +1,14 @@
 //! The end-to-end `ADCMiner` pipeline (Figure 1 of the paper).
 
 use crate::enumeration::{
-    enumerate_adcs, resume_adcs, EnumerationOptions, EnumerationResume, TruncationInfo,
+    enumerate_adcs, resume_adcs, EnumerationOptions, EnumerationOutcome, EnumerationResume,
+    TruncationInfo,
 };
 use crate::sampling;
 use adc_approx::{ApproxKind, ApproximationFunction, SampleAdjustedF1};
 use adc_data::Relation;
 use adc_evidence::{
-    ClusterEvidenceBuilder, Evidence, EvidenceBuilder, NaiveEvidenceBuilder,
+    ClusterEvidenceBuilder, DeltaEvidenceBuilder, Evidence, EvidenceBuilder, NaiveEvidenceBuilder,
     ParallelEvidenceBuilder, SweepEvidenceBuilder,
 };
 use adc_hitting::{ApproxEnumStats, BranchStrategy, SearchBudget, SearchOrder};
@@ -237,23 +238,6 @@ pub struct MiningResume {
 }
 
 impl MiningResume {
-    /// Assemble a token from parts the caller already holds (the monitor's
-    /// refresh path, which maintains the evidence differentially instead of
-    /// scanning for it).
-    pub(crate) fn from_parts(
-        space: PredicateSpace,
-        evidence: Evidence,
-        mined_tuples: usize,
-        enumeration: EnumerationResume,
-    ) -> Self {
-        MiningResume {
-            space,
-            evidence,
-            mined_tuples,
-            enumeration,
-        }
-    }
-
     /// Number of pending search nodes the token holds (a proxy for its
     /// memory footprint; bound it with
     /// [`SearchBudget::with_max_frontier_nodes`]).
@@ -294,7 +278,54 @@ pub struct MiningResult {
     pub resume: Option<MiningResume>,
 }
 
+/// The evidence a [`MiningResult`] was mined from.
+pub(crate) enum MinedEvidence<'a> {
+    /// Evidence the caller owns; it moves into the resume token of a cut run.
+    Owned(Evidence),
+    /// A monitor's maintained evidence, snapshotted only for a resume token.
+    Maintained(&'a DeltaEvidenceBuilder),
+}
+
 impl MiningResult {
+    /// Build the result of one enumeration over `space`: the one assembly
+    /// path of [`AdcMiner::mine`], [`AdcMiner::resume`] and the monitor's
+    /// refresh. A cut run's resume token keeps the evidence, so resuming
+    /// never rescans the data.
+    pub(crate) fn assemble(
+        space: PredicateSpace,
+        mined_tuples: usize,
+        evidence: MinedEvidence<'_>,
+        outcome: EnumerationOutcome,
+        timings: Timings,
+    ) -> Self {
+        let set = match &evidence {
+            MinedEvidence::Owned(evidence) => &evidence.evidence_set,
+            MinedEvidence::Maintained(builder) => builder.evidence_set(),
+        };
+        let distinct_evidence = set.distinct_count();
+        let total_pairs = set.total_pairs();
+        let resume = outcome.resume.map(|enumeration| MiningResume {
+            space: space.clone(),
+            evidence: match evidence {
+                MinedEvidence::Owned(evidence) => evidence,
+                MinedEvidence::Maintained(builder) => builder.snapshot(),
+            },
+            mined_tuples,
+            enumeration,
+        });
+        MiningResult {
+            dcs: outcome.dcs,
+            space,
+            mined_tuples,
+            distinct_evidence,
+            total_pairs,
+            timings,
+            enum_stats: outcome.stats,
+            truncation: outcome.truncation,
+            resume,
+        }
+    }
+
     /// Render every discovered DC as text (one per line).
     pub fn render(&self) -> String {
         self.dcs
@@ -352,32 +383,19 @@ impl AdcMiner {
         let function = self.approximation_function();
         let options = self.enumeration_options();
         let outcome = enumerate_adcs(&space, &evidence, function.as_ref(), &options);
-        let enumeration_time = t3.elapsed();
-
-        let mined_tuples = mined.len();
-        let distinct_evidence = evidence.evidence_set.distinct_count();
-        let total_pairs = evidence.evidence_set.total_pairs();
-        MiningResult {
-            dcs: outcome.dcs,
-            mined_tuples,
-            distinct_evidence,
-            total_pairs,
-            resume: outcome.resume.map(|enumeration| MiningResume {
-                space: space.clone(),
-                evidence,
-                mined_tuples,
-                enumeration,
-            }),
+        let timings = Timings {
+            predicate_space: predicate_space_time,
+            sampling: sampling_time,
+            evidence: evidence_time,
+            enumeration: t3.elapsed(),
+        };
+        MiningResult::assemble(
             space,
-            timings: Timings {
-                predicate_space: predicate_space_time,
-                sampling: sampling_time,
-                evidence: evidence_time,
-                enumeration: enumeration_time,
-            },
-            enum_stats: outcome.stats,
-            truncation: outcome.truncation,
-        }
+            mined.len(),
+            MinedEvidence::Owned(evidence),
+            outcome,
+            timings,
+        )
     }
 
     /// Continue a budget-cut mining run from the token carried by
@@ -402,29 +420,17 @@ impl AdcMiner {
         let function = self.approximation_function();
         let options = self.enumeration_options();
         let outcome = resume_adcs(&space, &evidence, function.as_ref(), &options, enumeration);
-        let enumeration_time = t.elapsed();
-
-        let distinct_evidence = evidence.evidence_set.distinct_count();
-        let total_pairs = evidence.evidence_set.total_pairs();
-        MiningResult {
-            dcs: outcome.dcs,
-            mined_tuples,
-            distinct_evidence,
-            total_pairs,
-            resume: outcome.resume.map(|enumeration| MiningResume {
-                space: space.clone(),
-                evidence,
-                mined_tuples,
-                enumeration,
-            }),
+        let timings = Timings {
+            enumeration: t.elapsed(),
+            ..Timings::default()
+        };
+        MiningResult::assemble(
             space,
-            timings: Timings {
-                enumeration: enumeration_time,
-                ..Timings::default()
-            },
-            enum_stats: outcome.stats,
-            truncation: outcome.truncation,
-        }
+            mined_tuples,
+            MinedEvidence::Owned(evidence),
+            outcome,
+            timings,
+        )
     }
 
     /// The approximation function the configuration selects (shared by

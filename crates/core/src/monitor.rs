@@ -48,11 +48,11 @@
 //! [`MonitorError::RebuildRequired`] instead of answering a question the
 //! live data no longer asks.
 
-use crate::enumeration::{cover_to_dc, enumerate_adcs_capturing, TruncationInfo};
-use crate::miner::{AdcMiner, MinerConfig, MiningResult, MiningResume, Timings};
+use crate::enumeration::{cover_to_dc, run_adcs, EnumerationOutcome};
+use crate::miner::{AdcMiner, MinedEvidence, MinerConfig, MiningResult, Timings};
 use adc_data::{DataError, FixedBitSet, Relation, Value};
 use adc_evidence::DeltaEvidenceBuilder;
-use adc_hitting::{repair_covers, repair_covers_removal, ApproxEnumStats, SetSystem};
+use adc_hitting::{repair_covers, repair_covers_removal, SetSystem};
 use adc_predicates::{PredicateSpace, SpaceDrift, SpaceDriftTracker};
 use std::fmt;
 use std::time::Instant;
@@ -419,114 +419,116 @@ impl AdcMonitor {
         // entries' complements and are enumerated locally there.
         let fast = cfg.is_exact() && cfg.max_dcs.is_none() && self.cache.is_some();
 
-        let (covers, covers_reopened, path, enum_nodes, truncation, enum_stats, resume_parts) =
-            if fast {
-                // conformance: allow(panic) — `fast` is only true when `self.cache.is_some()` two lines up
-                let cache = self.cache.take().expect("checked above");
-                let system = self.current_system();
-                let split = delta.survivor_split(system.len());
-                let (mut covers, reopened, path, nodes) = if delta.removed.is_empty() {
-                    debug_assert_eq!(
-                        cache.entries, split,
-                        "with no removals, added entries must be exactly the appended suffix"
-                    );
-                    let (covers, repair) = repair_covers(
-                        &cache.covers,
-                        &system,
-                        split..system.len(),
-                        options.strategy,
-                    );
-                    (
-                        covers,
-                        repair.reopened,
-                        RefreshPath::Repair,
-                        repair.nodes_expanded,
-                    )
-                } else {
-                    // Stage 1 — complete answer of the survivor prefix: the
-                    // old system minus the removed entries is exactly
-                    // `system[..split]` (apply keeps survivors in order,
-                    // ahead of appended entries).
-                    debug_assert_eq!(
-                        cache.entries,
-                        split + delta.removed.len(),
-                        "survivors + removed must account for every old entry"
-                    );
-                    let prefix =
-                        SetSystem::new(system.num_elements(), system.subsets()[..split].to_vec());
-                    let (survivor_covers, removal) = repair_covers_removal(
-                        &cache.covers,
-                        &prefix,
-                        &delta.removed,
-                        options.strategy,
-                    );
-                    // Stage 2 — fold the appended suffix in by append repair
-                    // (exact, because stage 1 produced the complete T of the
-                    // prefix).
-                    let (covers, append) = repair_covers(
-                        &survivor_covers,
-                        &system,
-                        split..system.len(),
-                        options.strategy,
-                    );
-                    (
-                        covers,
-                        removal.shrunk + removal.discovered + append.reopened,
-                        RefreshPath::RemovalRepair,
-                        removal.nodes_expanded + append.nodes_expanded,
-                    )
-                };
-                canonical_sort(&mut covers);
+        let (covers, covers_reopened, path, enum_nodes, outcome, evidence) = if fast {
+            // conformance: allow(panic) — `fast` is only true when `self.cache.is_some()` two lines up
+            let cache = self.cache.take().expect("checked above");
+            let system = self.current_system();
+            let split = delta.survivor_split(system.len());
+            let (mut covers, reopened, path, nodes) = if delta.removed.is_empty() {
+                debug_assert_eq!(
+                    cache.entries, split,
+                    "with no removals, added entries must be exactly the appended suffix"
+                );
+                let (covers, repair) = repair_covers(
+                    &cache.covers,
+                    &system,
+                    split..system.len(),
+                    options.strategy,
+                );
                 (
                     covers,
-                    reopened,
-                    path,
-                    nodes,
-                    None,
-                    ApproxEnumStats::default(),
-                    None,
+                    repair.reopened,
+                    RefreshPath::Repair,
+                    repair.nodes_expanded,
                 )
             } else {
-                let function = self.miner.approximation_function();
-                let evidence = self.builder.snapshot();
-                let mut covers = Vec::new();
-                let outcome = enumerate_adcs_capturing(
-                    &self.space,
-                    &evidence,
-                    function.as_ref(),
-                    &options,
-                    &mut covers,
+                // Stage 1 — complete answer of the survivor prefix: the
+                // old system minus the removed entries is exactly
+                // `system[..split]` (apply keeps survivors in order,
+                // ahead of appended entries).
+                debug_assert_eq!(
+                    cache.entries,
+                    split + delta.removed.len(),
+                    "survivors + removed must account for every old entry"
                 );
-                canonical_sort(&mut covers);
-                let reopened = covers.len();
-                let resume_parts = outcome.resume.map(|enumeration| (evidence, enumeration));
+                let prefix =
+                    SetSystem::new(system.num_elements(), system.subsets()[..split].to_vec());
+                let (survivor_covers, removal) =
+                    repair_covers_removal(&cache.covers, &prefix, &delta.removed, options.strategy);
+                // Stage 2 — fold the appended suffix in by append repair
+                // (exact, because stage 1 produced the complete T of the
+                // prefix).
+                let (covers, append) = repair_covers(
+                    &survivor_covers,
+                    &system,
+                    split..system.len(),
+                    options.strategy,
+                );
                 (
                     covers,
-                    reopened,
-                    RefreshPath::Restart,
-                    outcome.stats.recursive_calls,
-                    outcome.truncation,
-                    outcome.stats,
-                    resume_parts,
+                    removal.shrunk + removal.discovered + append.reopened,
+                    RefreshPath::RemovalRepair,
+                    removal.nodes_expanded + append.nodes_expanded,
                 )
             };
+            canonical_sort(&mut covers);
+            (
+                covers,
+                reopened,
+                path,
+                nodes,
+                EnumerationOutcome::default(),
+                MinedEvidence::Maintained(&self.builder),
+            )
+        } else {
+            let function = self.miner.approximation_function();
+            let evidence = self.builder.snapshot();
+            let mut covers = Vec::new();
+            let outcome = run_adcs(
+                &self.space,
+                &evidence,
+                function.as_ref(),
+                &options,
+                None,
+                Some(&mut covers),
+            );
+            canonical_sort(&mut covers);
+            let reopened = covers.len();
+            (
+                covers,
+                reopened,
+                RefreshPath::Restart,
+                outcome.stats.recursive_calls,
+                outcome,
+                MinedEvidence::Owned(evidence),
+            )
+        };
 
         // Cache the raw covers only when they are the *complete* answer —
         // a truncated prefix cannot seed a sound repair.
-        let exhaustive = truncation.is_none();
+        let exhaustive = outcome.truncation.is_none();
         let entries = self.builder.evidence_set().distinct_count();
         self.cache = exhaustive.then(|| CoverCache {
             covers: covers.clone(),
             entries,
         });
 
-        let result = self.assemble_result(
-            covers,
-            truncation,
-            enum_stats,
-            resume_parts,
-            evidence_time,
-            t1.elapsed(),
+        // The answer in canonical order, whichever path produced the covers.
+        let dcs = covers
+            .iter()
+            .filter_map(|cover| cover_to_dc(&self.space, cover))
+            .collect();
+        let timings = Timings {
+            evidence: evidence_time,
+            enumeration: t1.elapsed(),
+            ..Timings::default()
+        };
+        let result = MiningResult::assemble(
+            self.space.clone(),
+            self.builder.relation().len(),
+            evidence,
+            EnumerationOutcome { dcs, ..outcome },
+            timings,
         );
         let stats = DeltaStats {
             pairs_scanned: delta.pairs_scanned,
@@ -547,43 +549,6 @@ impl AdcMonitor {
             set.num_predicates(),
             set.entries().iter().map(|e| e.set.clone()).collect(),
         )
-    }
-
-    fn assemble_result(
-        &self,
-        covers: Vec<FixedBitSet>,
-        truncation: Option<TruncationInfo>,
-        enum_stats: ApproxEnumStats,
-        resume_parts: Option<(
-            adc_evidence::Evidence,
-            crate::enumeration::EnumerationResume,
-        )>,
-        evidence_time: std::time::Duration,
-        enumeration_time: std::time::Duration,
-    ) -> MiningResult {
-        let set = self.builder.evidence_set();
-        let mined_tuples = self.builder.relation().len();
-        let dcs = covers
-            .iter()
-            .filter_map(|cover| cover_to_dc(&self.space, cover))
-            .collect();
-        MiningResult {
-            dcs,
-            space: self.space.clone(),
-            mined_tuples,
-            distinct_evidence: set.distinct_count(),
-            total_pairs: set.total_pairs(),
-            timings: Timings {
-                evidence: evidence_time,
-                enumeration: enumeration_time,
-                ..Timings::default()
-            },
-            enum_stats,
-            truncation,
-            resume: resume_parts.map(|(evidence, enumeration)| {
-                MiningResume::from_parts(self.space.clone(), evidence, mined_tuples, enumeration)
-            }),
-        }
     }
 }
 

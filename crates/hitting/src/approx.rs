@@ -20,111 +20,33 @@
 //!    trivial constraints.
 //!
 //! All three are plugged into the shared [`search engine`](crate::search) as
-//! an [`ApproxDriver`](self): this module holds no tree walk of its own, so
-//! the approximate enumerator inherits the engine's frontier orders
-//! ([`SearchOrder::ShortestFirst`] emits in nondecreasing size) and anytime
-//! budgets ([`SearchBudget`]) unchanged.
+//! an [`ApproxDriver`]: this module holds no tree walk of its own, so a
+//! [`Search`](crate::Search) with the approximate driver inherits the
+//! engine's frontier orders ([`SearchOrder::ShortestFirst`] emits in
+//! nondecreasing size), anytime budgets ([`SearchBudget`]) and suspend /
+//! resume unchanged.
 //!
 //! The scoring function is supplied by the caller and must satisfy the
 //! monotonicity and indifference-to-redundancy axioms for the enumeration to
 //! be complete (see `adc-approx`). Under indifference to redundancy a score
 //! depends only on which subsets a set leaves unhit, and every search node
 //! already holds those lists, so the enumerator hands them to the score along
-//! with the set (see [`enumerate_approx_minimal_hitting_sets`]).
+//! with the set (see [`ApproxDriver::new`]).
+//!
+//! A suspended run may be patched after subsets were appended
+//! ([`SuspendedSearch::patch`](crate::SuspendedSearch::patch)) only at
+//! `ε = 0`, where the threshold test degenerates to "hits every subset" for
+//! any function satisfying the axioms, so the frontier's past pruning
+//! decisions stay valid against the grown system. For `ε > 0` the
+//! count-weighted scores of already-classified nodes may shift
+//! non-monotonically under a delta — restart the enumeration instead.
+//!
+//! [`SearchOrder::ShortestFirst`]: crate::SearchOrder::ShortestFirst
+//! [`SearchBudget`]: crate::SearchBudget
 
-use crate::search::{
-    resume_search, run_search_resumable, NodeDisposition, SearchBudget, SearchConfig, SearchDriver,
-    SearchNode, SearchOrder, SearchOutcome, SuspendedSearch,
-};
-use crate::{BranchStrategy, SetSystem};
+use crate::search::{NodeDisposition, SearchDriver, SearchNode};
+use crate::SetSystem;
 use adc_data::FixedBitSet;
-
-/// Configuration for [`enumerate_approx_minimal_hitting_sets`].
-#[derive(Debug, Clone)]
-pub struct ApproxEnumConfig<'a> {
-    /// Approximation threshold ε ≥ 0: emit `S` when `1 − f(S) ≤ ε`.
-    pub epsilon: f64,
-    /// Branching strategy for choosing the next subset to hit.
-    pub strategy: BranchStrategy,
-    /// Optional structure-group id per element; when an element enters the
-    /// partial solution, the rest of its group leaves the candidate list for
-    /// that branch (the paper's `RemoveRedundantPreds`).
-    pub element_groups: Option<&'a [usize]>,
-    /// Enable the `WillCover` pruning of the non-hitting branch (line 9 of
-    /// Figure 4). Disabling it is only useful for ablation studies.
-    pub will_cover_pruning: bool,
-    /// Stop after emitting this many results (`None` = unlimited). Folded
-    /// into [`ApproxEnumConfig::budget`] at run time; kept as its own field
-    /// for backward compatibility.
-    pub max_results: Option<usize>,
-    /// Frontier order of the underlying search engine.
-    pub order: SearchOrder,
-    /// Resource budget of the underlying search engine.
-    pub budget: SearchBudget,
-}
-
-impl<'a> ApproxEnumConfig<'a> {
-    /// Default configuration for a given threshold.
-    pub fn new(epsilon: f64) -> Self {
-        ApproxEnumConfig {
-            epsilon,
-            strategy: BranchStrategy::default(),
-            element_groups: None,
-            will_cover_pruning: true,
-            max_results: None,
-            order: SearchOrder::default(),
-            budget: SearchBudget::default(),
-        }
-    }
-
-    /// Set the branch strategy.
-    pub fn with_strategy(mut self, strategy: BranchStrategy) -> Self {
-        self.strategy = strategy;
-        self
-    }
-
-    /// Provide element structure groups.
-    pub fn with_element_groups(mut self, groups: &'a [usize]) -> Self {
-        self.element_groups = Some(groups);
-        self
-    }
-
-    /// Enable or disable the `WillCover` pruning.
-    pub fn with_will_cover_pruning(mut self, enabled: bool) -> Self {
-        self.will_cover_pruning = enabled;
-        self
-    }
-
-    /// Limit the number of emitted results.
-    pub fn with_max_results(mut self, max: usize) -> Self {
-        self.max_results = Some(max);
-        self
-    }
-
-    /// Select the frontier order (shortest-first emits in nondecreasing size).
-    pub fn with_order(mut self, order: SearchOrder) -> Self {
-        self.order = order;
-        self
-    }
-
-    /// Bound the search by nodes, wall-clock time, and/or emitted results.
-    pub fn with_budget(mut self, budget: SearchBudget) -> Self {
-        self.budget = budget;
-        self
-    }
-
-    /// The engine budget with [`ApproxEnumConfig::max_results`] folded in.
-    fn effective_budget(&self) -> SearchBudget {
-        let mut budget = self.budget;
-        if let Some(max) = self.max_results {
-            budget.max_emitted = Some(match budget.max_emitted {
-                Some(existing) => existing.min(max),
-                None => max,
-            });
-        }
-        budget
-    }
-}
 
 /// Counters describing one enumeration run (used by the benchmark harness
 /// and the ablation studies).
@@ -141,183 +63,16 @@ pub struct ApproxEnumStats {
     /// footprint the `max_frontier_nodes` budget bounds.
     pub peak_frontier: u64,
     /// Memory-bound frontier contractions performed (non-zero only when
-    /// [`SearchBudget::max_frontier_nodes`] fired).
+    /// [`SearchBudget::max_frontier_nodes`](crate::SearchBudget::max_frontier_nodes)
+    /// fired).
     pub frontier_contractions: u64,
-}
-
-/// Enumerate all minimal approximate hitting sets of `system` w.r.t. the
-/// scoring function `score` and the threshold in `config`.
-///
-/// `score(X, unhit)` must return `f(X) ∈ [0, 1]`. `unhit` holds the indexes
-/// of the subsets `X` misses, as ascending, pairwise-disjoint runs whose
-/// union is exactly that set, so a score that depends only on the unhit
-/// subsets need not rescan the system:
-///
-/// * the threshold test of a node passes `[uncov]`;
-/// * `IsMinimal` for `S \ {s[i]}` passes `[uncov, crit[i]]`;
-/// * `WillCover` passes the uncovered subsets no remaining candidate hits.
-///
-/// The callback receives each minimal set and may return `false` to stop
-/// early. Returns run statistics.
-pub fn enumerate_approx_minimal_hitting_sets<S, F>(
-    system: &SetSystem,
-    score: S,
-    config: &ApproxEnumConfig<'_>,
-    mut callback: F,
-) -> ApproxEnumStats
-where
-    S: Fn(&FixedBitSet, &[&[u32]]) -> f64,
-    F: FnMut(&FixedBitSet) -> bool,
-{
-    search_approx_minimal_hitting_sets(system, score, config, &mut callback).0
-}
-
-/// Like [`enumerate_approx_minimal_hitting_sets`], but also returning the
-/// engine's [`SearchOutcome`] so callers can distinguish an exhaustive run
-/// from one cut short by the budget, the result cap, or the callback.
-pub fn search_approx_minimal_hitting_sets<S, F>(
-    system: &SetSystem,
-    score: S,
-    config: &ApproxEnumConfig<'_>,
-    callback: &mut F,
-) -> (ApproxEnumStats, SearchOutcome)
-where
-    S: Fn(&FixedBitSet, &[&[u32]]) -> f64,
-    F: FnMut(&FixedBitSet) -> bool,
-{
-    let (stats, outcome, _) =
-        search_approx_minimal_hitting_sets_resumable(system, score, config, callback);
-    (stats, outcome)
-}
-
-/// Like [`search_approx_minimal_hitting_sets`], but a budget- or cap-cut run
-/// also returns a [`SuspendedSearch`] token for
-/// [`resume_approx_minimal_hitting_sets`]. A cut run resumed to completion
-/// (with the identical system, score, and config) emits exactly the same
-/// cover sequence as a single uncut run.
-pub fn search_approx_minimal_hitting_sets_resumable<S, F>(
-    system: &SetSystem,
-    score: S,
-    config: &ApproxEnumConfig<'_>,
-    callback: &mut F,
-) -> (ApproxEnumStats, SearchOutcome, Option<SuspendedSearch>)
-where
-    S: Fn(&FixedBitSet, &[&[u32]]) -> f64,
-    F: FnMut(&FixedBitSet) -> bool,
-{
-    approx_run(system, score, config, None, callback)
-}
-
-/// Continue a suspended approximate enumeration. `config` must describe the
-/// same problem as the original run (threshold, groups, pruning, score);
-/// its budget and result cap apply to this slice alone.
-pub fn resume_approx_minimal_hitting_sets<S, F>(
-    system: &SetSystem,
-    score: S,
-    config: &ApproxEnumConfig<'_>,
-    suspended: SuspendedSearch,
-    callback: &mut F,
-) -> (ApproxEnumStats, SearchOutcome, Option<SuspendedSearch>)
-where
-    S: Fn(&FixedBitSet, &[&[u32]]) -> f64,
-    F: FnMut(&FixedBitSet) -> bool,
-{
-    approx_run(system, score, config, Some(suspended), callback)
-}
-
-/// Patch a suspended **approximate** enumeration after subsets were appended
-/// to the system, when that is sound — i.e. only at `ε = 0`, where the
-/// threshold test degenerates to "hits every subset" for any approximation
-/// function satisfying the paper's axioms, so the frontier's past pruning
-/// decisions remain valid against the grown system. For `ε > 0` the
-/// count-weighted scores of already-classified nodes may shift
-/// non-monotonically under a delta, so no patch is attempted and `None` is
-/// returned — restart the enumeration instead.
-///
-/// On success returns the number of frontier nodes that gained an uncovered
-/// subset (the [`SuspendedSearch::patch`] contract: sound continuation, not
-/// complete relative to a from-scratch run).
-pub fn patch_approx_search(
-    suspended: &mut SuspendedSearch,
-    system: &SetSystem,
-    config: &ApproxEnumConfig<'_>,
-    appended_from: usize,
-) -> Option<usize> {
-    if config.epsilon != 0.0 {
-        return None;
-    }
-    Some(suspended.patch(system, appended_from))
-}
-
-fn approx_run<S, F>(
-    system: &SetSystem,
-    score: S,
-    config: &ApproxEnumConfig<'_>,
-    suspended: Option<SuspendedSearch>,
-    callback: &mut F,
-) -> (ApproxEnumStats, SearchOutcome, Option<SuspendedSearch>)
-where
-    S: Fn(&FixedBitSet, &[&[u32]]) -> f64,
-    F: FnMut(&FixedBitSet) -> bool,
-{
-    assert!(config.epsilon >= 0.0, "epsilon must be non-negative");
-    if let Some(groups) = config.element_groups {
-        assert_eq!(
-            groups.len(),
-            system.num_elements(),
-            "element_groups length must equal the number of elements"
-        );
-    }
-    let mut driver = ApproxDriver {
-        score: &score,
-        epsilon: config.epsilon,
-        group_peers: config
-            .element_groups
-            .map(|groups| group_masks(groups, system.num_elements())),
-        will_cover_pruning: config.will_cover_pruning,
-        score_evaluations: 0,
-    };
-    let engine_config = SearchConfig {
-        strategy: config.strategy,
-        order: config.order,
-        budget: config.effective_budget(),
-    };
-    let (outcome, next) = match suspended {
-        None => run_search_resumable(system, &mut driver, &engine_config, callback),
-        Some(token) => resume_search(system, &mut driver, &engine_config, token, callback),
-    };
-    let stats = ApproxEnumStats {
-        recursive_calls: outcome.nodes_expanded,
-        score_evaluations: driver.score_evaluations,
-        emitted: outcome.emitted as u64,
-        peak_frontier: outcome.peak_frontier as u64,
-        frontier_contractions: outcome.contractions,
-    };
-    (stats, outcome, next)
-}
-
-/// Convenience wrapper collecting the results into a vector.
-pub fn approx_minimal_hitting_sets<S>(
-    system: &SetSystem,
-    score: S,
-    config: &ApproxEnumConfig<'_>,
-) -> Vec<FixedBitSet>
-where
-    S: Fn(&FixedBitSet, &[&[u32]]) -> f64,
-{
-    let mut out = Vec::new();
-    enumerate_approx_minimal_hitting_sets(system, score, config, |s| {
-        out.push(s.clone());
-        true
-    });
-    out
 }
 
 /// Per element, the mask of every element in its structure group, so that
 /// suppressing the group is one bitset difference.
-fn group_masks(groups: &[usize], num_elements: usize) -> Vec<FixedBitSet> {
+fn group_masks(groups: &[usize]) -> Vec<FixedBitSet> {
     let num_groups = groups.iter().max().map_or(0, |&g| g + 1);
-    let mut by_group = vec![FixedBitSet::new(num_elements); num_groups];
+    let mut by_group = vec![FixedBitSet::new(groups.len()); num_groups];
     for (element, &group) in groups.iter().enumerate() {
         by_group[group].insert(element);
     }
@@ -327,23 +82,100 @@ fn group_masks(groups: &[usize], num_elements: usize) -> Vec<FixedBitSet> {
 /// The `ADCEnum` configuration of the search engine: ε-acceptance base case
 /// with the explicit `IsMinimal` check, the non-hitting branch guarded by
 /// `WillCover`, and redundant-group suppression.
-struct ApproxDriver<'a, S: Fn(&FixedBitSet, &[&[u32]]) -> f64> {
-    score: &'a S,
+///
+/// ```
+/// use adc_hitting::{ApproxDriver, BranchStrategy, Search, SearchOrder, SetSystem};
+///
+/// // Subsets {0} (weight 9) and {1} (weight 1): at ε = 0.2 a set may miss {1}.
+/// let system = SetSystem::from_indices(2, &[&[0], &[1]]);
+/// let weights = [9.0, 1.0];
+/// let score = |_: &adc_data::FixedBitSet, unhit: &[&[u32]]| {
+///     let missed: f64 = unhit.iter().flat_map(|run| run.iter()).map(|&i| weights[i as usize]).sum();
+///     1.0 - missed / 10.0
+/// };
+/// let mut driver = ApproxDriver::new(score, 0.2);
+/// let mut found = Vec::new();
+/// Search::new(BranchStrategy::default(), SearchOrder::Dfs).run(&system, &mut driver, &mut |s| {
+///     found.push(s.to_vec());
+///     true
+/// });
+/// assert_eq!(found, vec![vec![0]]);
+/// assert!(driver.score_evaluations() > 0);
+/// ```
+#[derive(Debug, Clone)]
+pub struct ApproxDriver<S> {
+    score: S,
     epsilon: f64,
     group_peers: Option<Vec<FixedBitSet>>,
     will_cover_pruning: bool,
     score_evaluations: u64,
 }
 
-impl<S: Fn(&FixedBitSet, &[&[u32]]) -> f64> ApproxDriver<'_, S> {
+impl<S: Fn(&FixedBitSet, &[&[u32]]) -> f64> ApproxDriver<S> {
+    /// Accept a set `X` when `1 − score(X, unhit) ≤ epsilon`.
+    ///
+    /// `score(X, unhit)` must return `f(X) ∈ [0, 1]`. `unhit` holds the
+    /// indexes of the subsets `X` misses, as ascending, pairwise-disjoint
+    /// runs whose union is exactly that set, so a score that depends only on
+    /// the unhit subsets need not rescan the system:
+    ///
+    /// * the threshold test of a node passes `[uncov]`;
+    /// * `IsMinimal` for `S \ {s[i]}` passes `[uncov, crit[i]]`;
+    /// * `WillCover` passes the uncovered subsets no remaining candidate hits.
+    ///
+    /// `WillCover` pruning is on and no element groups are set.
+    ///
+    /// # Panics
+    /// Panics if `epsilon` is negative.
+    pub fn new(score: S, epsilon: f64) -> Self {
+        assert!(epsilon >= 0.0, "epsilon must be non-negative");
+        ApproxDriver {
+            score,
+            epsilon,
+            group_peers: None,
+            will_cover_pruning: true,
+            score_evaluations: 0,
+        }
+    }
+
+    /// Give each element a structure-group id (one entry per element of the
+    /// system): when an element enters the partial solution, the rest of its
+    /// group leaves the candidate list for that branch (the paper's
+    /// `RemoveRedundantPreds`). A run panics if `groups.len()` differs from
+    /// the system's element count.
+    pub fn element_groups(mut self, groups: &[usize]) -> Self {
+        self.group_peers = Some(group_masks(groups));
+        self
+    }
+
+    /// Enable or disable the `WillCover` pruning of the non-hitting branch
+    /// (line 9 of Figure 4). Disabling it is only useful for ablation
+    /// studies.
+    pub fn will_cover_pruning(mut self, enabled: bool) -> Self {
+        self.will_cover_pruning = enabled;
+        self
+    }
+
+    /// Scoring-function evaluations so far, over every run of this driver.
+    pub fn score_evaluations(&self) -> u64 {
+        self.score_evaluations
+    }
+
     fn meets_threshold(&mut self, set: &FixedBitSet, unhit: &[&[u32]]) -> bool {
         self.score_evaluations += 1;
         1.0 - (self.score)(set, unhit) <= self.epsilon
     }
 }
 
-impl<S: Fn(&FixedBitSet, &[&[u32]]) -> f64> SearchDriver for ApproxDriver<'_, S> {
-    fn classify(&mut self, _system: &SetSystem, node: &SearchNode) -> NodeDisposition {
+impl<S: Fn(&FixedBitSet, &[&[u32]]) -> f64> SearchDriver for ApproxDriver<S> {
+    fn classify(&mut self, system: &SetSystem, node: &SearchNode) -> NodeDisposition {
+        if let Some(masks) = &self.group_peers {
+            assert_eq!(
+                masks.len(),
+                system.num_elements(),
+                "element_groups length must equal the number of elements"
+            );
+        }
         // Base case: once the threshold is met, no strict superset can be
         // minimal (monotonicity), so the node is terminal either way.
         if !self.meets_threshold(node.solution(), &[node.uncov()]) {
@@ -397,6 +229,7 @@ impl<S: Fn(&FixedBitSet, &[&[u32]]) -> f64> SearchDriver for ApproxDriver<'_, S>
 mod tests {
     use super::*;
     use crate::brute::{brute_force_minimal_approx_hitting_sets, brute_force_minimal_hitting_sets};
+    use crate::{BranchStrategy, Search, SearchBudget, SearchOrder};
     use proptest::prelude::*;
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
@@ -425,6 +258,24 @@ mod tests {
         }
     }
 
+    /// Every set `driver` accepts under `search`, in emission order.
+    fn approx_sets<S: Fn(&FixedBitSet, &[&[u32]]) -> f64>(
+        system: &SetSystem,
+        search: Search<'_>,
+        mut driver: ApproxDriver<S>,
+    ) -> Vec<FixedBitSet> {
+        let mut out = Vec::new();
+        search.run(system, &mut driver, &mut |s: &FixedBitSet| {
+            out.push(s.clone());
+            true
+        });
+        out
+    }
+
+    fn dfs() -> Search<'static> {
+        Search::new(BranchStrategy::default(), SearchOrder::Dfs)
+    }
+
     /// `score` with the unhit subsets found by scanning the system, for the
     /// brute-force reference.
     fn scanned<'a>(
@@ -444,8 +295,7 @@ mod tests {
         let sys = SetSystem::from_indices(5, &[&[0, 1], &[1, 2], &[2, 3], &[3, 4]]);
         let weights = vec![1u64; sys.len()];
         let score = coverage_score(weights);
-        let cfg = ApproxEnumConfig::new(0.0);
-        let approx = approx_minimal_hitting_sets(&sys, &score, &cfg);
+        let approx = approx_sets(&sys, dfs(), ApproxDriver::new(&score, 0.0));
         let exact = brute_force_minimal_hitting_sets(&sys);
         assert_eq!(as_sorted_vecs(&approx), as_sorted_vecs(&exact));
     }
@@ -455,8 +305,7 @@ mod tests {
         // Subsets: {0} (weight 9), {1} (weight 1). With ε = 0.2 we may miss {1}.
         let sys = SetSystem::from_indices(2, &[&[0], &[1]]);
         let score = coverage_score(vec![9, 1]);
-        let cfg = ApproxEnumConfig::new(0.2);
-        let found = approx_minimal_hitting_sets(&sys, &score, &cfg);
+        let found = approx_sets(&sys, dfs(), ApproxDriver::new(&score, 0.2));
         // {0} misses only 10% of the weight -> approximate and minimal.
         assert_eq!(as_sorted_vecs(&found), vec![vec![0]]);
     }
@@ -465,8 +314,7 @@ mod tests {
     fn empty_set_emitted_when_threshold_is_loose() {
         let sys = SetSystem::from_indices(3, &[&[0], &[1], &[2]]);
         let score = coverage_score(vec![1, 1, 1]);
-        let cfg = ApproxEnumConfig::new(1.0);
-        let found = approx_minimal_hitting_sets(&sys, &score, &cfg);
+        let found = approx_sets(&sys, dfs(), ApproxDriver::new(&score, 1.0));
         assert_eq!(found.len(), 1);
         assert!(found[0].is_empty());
     }
@@ -502,8 +350,8 @@ mod tests {
                 BranchStrategy::MinIntersection,
                 BranchStrategy::First,
             ] {
-                let cfg = ApproxEnumConfig::new(epsilon).with_strategy(strategy);
-                let found = approx_minimal_hitting_sets(&sys, &score, &cfg);
+                let search = Search::new(strategy, SearchOrder::Dfs);
+                let found = approx_sets(&sys, search, ApproxDriver::new(&score, epsilon));
                 assert_eq!(
                     as_sorted_vecs(&found),
                     as_sorted_vecs(&expected),
@@ -534,15 +382,15 @@ mod tests {
             }
             let sys = SetSystem::new(m, subsets);
             let score = coverage_score(vec![1; sys.len()]);
-            let on = approx_minimal_hitting_sets(
+            let on = approx_sets(
                 &sys,
-                &score,
-                &ApproxEnumConfig::new(0.3).with_will_cover_pruning(true),
+                dfs(),
+                ApproxDriver::new(&score, 0.3).will_cover_pruning(true),
             );
-            let off = approx_minimal_hitting_sets(
+            let off = approx_sets(
                 &sys,
-                &score,
-                &ApproxEnumConfig::new(0.3).with_will_cover_pruning(false),
+                dfs(),
+                ApproxDriver::new(&score, 0.3).will_cover_pruning(false),
             );
             assert_eq!(as_sorted_vecs(&on), as_sorted_vecs(&off));
         }
@@ -556,8 +404,8 @@ mod tests {
         let sys = SetSystem::from_indices(4, &[&[0, 2], &[1, 3]]);
         let score = coverage_score(vec![1, 1]);
         let groups = vec![0, 0, 1, 2];
-        let cfg = ApproxEnumConfig::new(0.0).with_element_groups(&groups);
-        let found = approx_minimal_hitting_sets(&sys, &score, &cfg);
+        let driver = ApproxDriver::new(&score, 0.0).element_groups(&groups);
+        let found = approx_sets(&sys, dfs(), driver);
         for s in &found {
             let v = s.to_vec();
             assert!(
@@ -575,14 +423,15 @@ mod tests {
     fn max_results_stops_early() {
         let sys = SetSystem::from_indices(6, &[&[0, 1], &[2, 3], &[4, 5]]);
         let score = coverage_score(vec![1, 1, 1]);
-        let cfg = ApproxEnumConfig::new(0.0).with_max_results(3);
         let mut seen = 0usize;
-        let stats = enumerate_approx_minimal_hitting_sets(&sys, &score, &cfg, |_| {
-            seen += 1;
-            true
-        });
+        let outcome = dfs()
+            .budget(SearchBudget::unlimited().with_max_emitted(3))
+            .run(&sys, &mut ApproxDriver::new(&score, 0.0), &mut |_| {
+                seen += 1;
+                true
+            });
         assert_eq!(seen, 3);
-        assert_eq!(stats.emitted, 3);
+        assert_eq!(outcome.emitted, 3);
     }
 
     #[test]
@@ -590,12 +439,10 @@ mod tests {
         use crate::search::TruncationReason;
         let sys = SetSystem::from_indices(6, &[&[0, 1], &[2, 3], &[4, 5]]);
         let score = coverage_score(vec![1, 1, 1]);
-        let cfg = ApproxEnumConfig::new(0.0)
-            .with_max_results(3)
-            .with_order(SearchOrder::ShortestFirst);
-        let (stats, outcome) =
-            search_approx_minimal_hitting_sets(&sys, &score, &cfg, &mut |_: &FixedBitSet| true);
-        assert_eq!(stats.emitted, 3);
+        let outcome = Search::new(BranchStrategy::default(), SearchOrder::ShortestFirst)
+            .budget(SearchBudget::unlimited().with_max_emitted(3))
+            .run(&sys, &mut ApproxDriver::new(&score, 0.0), &mut |_| true);
+        assert_eq!(outcome.emitted, 3);
         assert_eq!(
             outcome.truncation.map(|t| t.reason),
             Some(TruncationReason::MaxEmitted)
@@ -623,13 +470,13 @@ mod tests {
             }
             let sys = SetSystem::new(m, subsets);
             let score = coverage_score(vec![1; sys.len()]);
-            let dfs = approx_minimal_hitting_sets(&sys, &score, &ApproxEnumConfig::new(0.2));
-            let sf = approx_minimal_hitting_sets(
+            let depth_first = approx_sets(&sys, dfs(), ApproxDriver::new(&score, 0.2));
+            let sf = approx_sets(
                 &sys,
-                &score,
-                &ApproxEnumConfig::new(0.2).with_order(SearchOrder::ShortestFirst),
+                Search::new(BranchStrategy::default(), SearchOrder::ShortestFirst),
+                ApproxDriver::new(&score, 0.2),
             );
-            assert_eq!(as_sorted_vecs(&dfs), as_sorted_vecs(&sf));
+            assert_eq!(as_sorted_vecs(&depth_first), as_sorted_vecs(&sf));
             let sizes: Vec<usize> = sf.iter().map(|s| s.len()).collect();
             let mut sorted = sizes.clone();
             sorted.sort_unstable();
@@ -641,11 +488,11 @@ mod tests {
     fn stats_are_populated() {
         let sys = SetSystem::from_indices(4, &[&[0, 1], &[1, 2], &[2, 3]]);
         let score = coverage_score(vec![1, 1, 1]);
-        let cfg = ApproxEnumConfig::new(0.0);
-        let stats = enumerate_approx_minimal_hitting_sets(&sys, &score, &cfg, |_| true);
-        assert!(stats.recursive_calls > 0);
-        assert!(stats.score_evaluations > 0);
-        assert_eq!(stats.emitted, 3);
+        let mut driver = ApproxDriver::new(&score, 0.0);
+        let outcome = dfs().run(&sys, &mut driver, &mut |_| true);
+        assert!(outcome.nodes_expanded > 0);
+        assert!(driver.score_evaluations() > 0);
+        assert_eq!(outcome.emitted, 3);
     }
 
     #[test]
@@ -669,8 +516,7 @@ mod tests {
             }
             let sys = SetSystem::new(m, subsets);
             let score = coverage_score(vec![1; sys.len()]);
-            let cfg = ApproxEnumConfig::new(0.2);
-            let found = approx_minimal_hitting_sets(&sys, &score, &cfg);
+            let found = approx_sets(&sys, dfs(), ApproxDriver::new(&score, 0.2));
             let mut sorted = as_sorted_vecs(&found);
             let before = sorted.len();
             sorted.dedup();
@@ -683,7 +529,7 @@ mod tests {
     fn negative_epsilon_rejected() {
         let sys = SetSystem::from_indices(2, &[&[0]]);
         let score = coverage_score(vec![1]);
-        approx_minimal_hitting_sets(&sys, &score, &ApproxEnumConfig::new(-0.1));
+        approx_sets(&sys, dfs(), ApproxDriver::new(&score, -0.1));
     }
 
     #[test]
@@ -692,10 +538,10 @@ mod tests {
         let sys = SetSystem::from_indices(3, &[&[0]]);
         let score = coverage_score(vec![1]);
         let groups = vec![0, 1];
-        approx_minimal_hitting_sets(
+        approx_sets(
             &sys,
-            &score,
-            &ApproxEnumConfig::new(0.1).with_element_groups(&groups),
+            dfs(),
+            ApproxDriver::new(&score, 0.1).element_groups(&groups),
         );
     }
 
@@ -712,7 +558,7 @@ mod tests {
             let score = coverage_score(vec![1; sys.len()]);
             let epsilon = eps_percent as f64 / 100.0;
             let expected = brute_force_minimal_approx_hitting_sets(m, scanned(&sys, &score), epsilon);
-            let found = approx_minimal_hitting_sets(&sys, &score, &ApproxEnumConfig::new(epsilon));
+            let found = approx_sets(&sys, dfs(), ApproxDriver::new(&score, epsilon));
             prop_assert_eq!(as_sorted_vecs(&found), as_sorted_vecs(&expected));
         }
     }

@@ -17,16 +17,25 @@
 //! application — this crate depends only on `adc-data` for its bitset and can
 //! be used for any hypergraph-transversal-style workload.
 //!
+//! Every enumeration is one [`Search`] run: a branch strategy, a frontier
+//! order, a budget and an optional restriction or resume token, driven by
+//! [`ExactDriver`] (MMCS) or [`ApproxDriver`] (`ADCEnum`).
+//!
 //! ```
-//! use adc_hitting::{enumerate_minimal_hitting_sets, BranchStrategy, SetSystem};
+//! use adc_hitting::{BranchStrategy, ExactDriver, Search, SearchOrder, SetSystem};
 //!
 //! // The path hypergraph {0,1}, {1,2}, {2,3} has three minimal transversals.
 //! let system = SetSystem::from_indices(4, &[&[0, 1], &[1, 2], &[2, 3]]);
 //! let mut found = Vec::new();
-//! enumerate_minimal_hitting_sets(&system, BranchStrategy::MinIntersection, |hs| {
-//!     found.push(hs.to_vec());
-//!     true // keep enumerating
-//! });
+//! let outcome = Search::new(BranchStrategy::MinIntersection, SearchOrder::Dfs).run(
+//!     &system,
+//!     &mut ExactDriver,
+//!     &mut |hs| {
+//!         found.push(hs.to_vec());
+//!         true // keep enumerating
+//!     },
+//! );
+//! assert!(outcome.is_exhaustive());
 //! found.sort();
 //! assert_eq!(found, vec![vec![0, 2], vec![1, 2], vec![1, 3]]);
 //! ```
@@ -40,19 +49,11 @@ pub mod mmcs;
 pub mod repair;
 pub mod search;
 
-pub use approx::{
-    approx_minimal_hitting_sets, enumerate_approx_minimal_hitting_sets, patch_approx_search,
-    resume_approx_minimal_hitting_sets, search_approx_minimal_hitting_sets,
-    search_approx_minimal_hitting_sets_resumable, ApproxEnumConfig, ApproxEnumStats,
-};
-pub use mmcs::{
-    enumerate_minimal_hitting_sets, minimal_hitting_sets, patch_minimal_hitting_search,
-    resume_minimal_hitting_sets, search_minimal_hitting_sets,
-    search_minimal_hitting_sets_resumable, search_minimal_hitting_sets_within,
-};
+pub use approx::{ApproxDriver, ApproxEnumStats};
+pub use mmcs::ExactDriver;
 pub use repair::{repair_covers, repair_covers_removal, shrink_covers, CoverRepair, RemovalRepair};
 pub use search::{
-    SearchBudget, SearchDriver, SearchOrder, SearchOutcome, SuspendedSearch, Truncation,
+    Search, SearchBudget, SearchDriver, SearchOrder, SearchOutcome, SuspendedSearch, Truncation,
     TruncationReason,
 };
 

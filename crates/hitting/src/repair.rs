@@ -41,7 +41,7 @@
 //!   and survives re-minimalisation unchanged;
 //! - otherwise `τ ∩ Rᵢ = ∅` for some removed `Rᵢ`, i.e.
 //!   `τ ⊆ complement(Rᵢ)` — exactly what one search run confined to
-//!   `complement(Rᵢ)` ([`search_minimal_hitting_sets_within`]) enumerates.
+//!   `complement(Rᵢ)` ([`Search::within`]) enumerates.
 //!
 //! So `T(F')` = {re-minimalised old covers} ∪ ⋃ᵢ {confined run for `Rᵢ`},
 //! and [`repair_covers_removal`] recovers the complete new answer with one
@@ -55,9 +55,7 @@
 
 #![doc = "conformance: ordered-output"]
 
-use crate::mmcs::{search_minimal_hitting_sets, search_minimal_hitting_sets_within};
-use crate::search::{SearchBudget, SearchOrder};
-use crate::{BranchStrategy, SetSystem};
+use crate::{BranchStrategy, ExactDriver, Search, SearchOrder, SetSystem};
 use adc_data::fx::FxHashSet;
 use adc_data::FixedBitSet;
 use std::ops::Range;
@@ -157,11 +155,9 @@ pub fn repair_covers(
         // onto σ; the minimality filter against the *full* grown system
         // rejects the grafts that some other σ' already covers more cheaply.
         let sub = SetSystem::new(m, missed.into_iter().cloned().collect());
-        let outcome = search_minimal_hitting_sets(
+        let outcome = Search::new(strategy, SearchOrder::Dfs).run(
             &sub,
-            strategy,
-            SearchOrder::Dfs,
-            SearchBudget::unlimited(),
+            &mut ExactDriver,
             &mut |rho: &FixedBitSet| {
                 let mut candidate = sigma.clone();
                 candidate.union_with(rho);
@@ -248,11 +244,9 @@ pub fn repair_covers_removal(
         debug_assert_eq!(mask.capacity(), system.num_elements());
         stats.scopes += 1;
         let allowed = mask.complement();
-        let outcome = search_minimal_hitting_sets_within(
-            system,
-            &allowed,
-            strategy,
-            &mut |tau: &FixedBitSet| {
+        let outcome = Search::new(strategy, SearchOrder::Dfs)
+            .within(&allowed)
+            .run(system, &mut ExactDriver, &mut |tau: &FixedBitSet| {
                 if seen.insert(tau.clone()) {
                     stats.discovered += 1;
                     out.push(tau.clone());
@@ -260,8 +254,7 @@ pub fn repair_covers_removal(
                     stats.rejected += 1;
                 }
                 true
-            },
-        );
+            });
         stats.nodes_expanded += outcome.nodes_expanded;
     }
     (out, stats)

@@ -24,7 +24,7 @@
 //!   the run was exhaustive and, under shortest-first, up to which cover size
 //!   the emitted frontier is provably complete.
 //! * **Suspend / resume** ([`SuspendedSearch`]): a budget-cut run hands back
-//!   its live frontier as an opaque token; [`resume_search`] continues the
+//!   its live frontier as an opaque token; [`Search::resume`] continues the
 //!   traversal exactly where it stopped, and a cut-then-resumed run emits
 //!   **the same cover sequence** as a single uncapped run.
 //! * **Bounded memory** ([`SearchBudget::max_frontier_nodes`]): when the
@@ -39,6 +39,12 @@
 //! exact enumeration, where per-child node snapshots would only cost — it
 //! visits the identical tree in the identical order while mutating a single
 //! node's state with O(1) undo instead of cloning it per child.
+//!
+//! Every run goes through one value, [`Search`]: a branch strategy, a
+//! frontier order, a budget, and where the walk starts — the root, optionally
+//! confined to a set of allowed elements, or a suspended frontier. Its single
+//! [`Search::run`] takes the algorithm as a driver ([`crate::ExactDriver`]
+//! for MMCS, [`crate::ApproxDriver`] for `ADCEnum`).
 
 #![doc = "conformance: ordered-output"]
 
@@ -162,7 +168,7 @@ pub struct Truncation {
 }
 
 /// What one search run (slice) did and whether it finished.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone)]
 pub struct SearchOutcome {
     /// Number of results handed to the callback *by this run*. When
     /// resuming, the per-slice counters add up across slices;
@@ -185,6 +191,11 @@ pub struct SearchOutcome {
     /// [`SearchOrder::ShortestFirst`] was locally relaxed to stay within
     /// the memory bound.
     pub contractions: u64,
+    /// The live frontier of a cut run, for [`Search::resume`]. `Some` exactly
+    /// when [`SearchOutcome::truncation`] is `Some`, with one exception: the
+    /// in-place undo walk (unbudgeted exact DFS) does not materialise a
+    /// frontier, so a callback stop there yields no token.
+    pub suspended: Option<SuspendedSearch>,
 }
 
 impl SearchOutcome {
@@ -301,7 +312,7 @@ pub enum NodeDisposition {
     Expand,
 }
 
-/// The algorithm-specific decisions plugged into [`run_search`].
+/// The algorithm-specific decisions plugged into [`Search::run`].
 ///
 /// The engine owns node expansion (candidate thinning, the criticality /
 /// minimality invariant, subset selection, frontier discipline, budgets);
@@ -367,15 +378,153 @@ pub trait SearchDriver {
     }
 }
 
-/// Engine configuration: branching strategy, frontier order, budget.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct SearchConfig {
-    /// How the next uncovered subset to hit is selected.
-    pub strategy: BranchStrategy,
-    /// Frontier discipline.
-    pub order: SearchOrder,
-    /// Resource limits.
-    pub budget: SearchBudget,
+/// One run of the search engine: branch strategy, frontier order, budget,
+/// and where the walk starts — the root (optionally confined to a set of
+/// allowed elements) or a suspended frontier.
+///
+/// ```
+/// use adc_hitting::{
+///     BranchStrategy, ExactDriver, Search, SearchBudget, SearchOrder, SetSystem,
+/// };
+///
+/// let system = SetSystem::from_indices(4, &[&[0, 1], &[1, 2], &[2, 3]]);
+/// let mut found = Vec::new();
+/// let mut collect = |cover: &adc_data::FixedBitSet| {
+///     found.push(cover.to_vec());
+///     true
+/// };
+/// // A one-node slice is cut short and hands back its frontier ...
+/// let mut outcome = Search::new(BranchStrategy::default(), SearchOrder::ShortestFirst)
+///     .budget(SearchBudget::unlimited().with_max_nodes(1))
+///     .run(&system, &mut ExactDriver, &mut collect);
+/// // ... which later slices continue until the frontier is exhausted.
+/// while let Some(token) = outcome.suspended.take() {
+///     outcome = Search::resume(token).run(&system, &mut ExactDriver, &mut collect);
+/// }
+/// assert!(outcome.is_exhaustive());
+/// found.sort();
+/// assert_eq!(found, vec![vec![0, 2], vec![1, 2], vec![1, 3]]);
+/// ```
+#[derive(Debug, Clone)]
+pub struct Search<'a> {
+    strategy: BranchStrategy,
+    order: SearchOrder,
+    budget: SearchBudget,
+    within: Option<&'a FixedBitSet>,
+    resume: Option<SuspendedSearch>,
+}
+
+impl<'a> Search<'a> {
+    /// A fresh, unbudgeted search from the root.
+    pub fn new(strategy: BranchStrategy, order: SearchOrder) -> Self {
+        Search {
+            strategy,
+            order,
+            budget: SearchBudget::unlimited(),
+            within: None,
+            resume: None,
+        }
+    }
+
+    /// Continue the search `token` was cut from, with the order and strategy
+    /// recorded in it. Run it with the same system and an identically
+    /// configured driver, and the resumed traversal is byte-identical to the
+    /// uncut one: the slices' emissions concatenate to the single-run
+    /// sequence. The budget applies to this slice alone; keep
+    /// [`SearchBudget::max_frontier_nodes`] identical across slices.
+    pub fn resume(token: SuspendedSearch) -> Self {
+        Search {
+            strategy: token.strategy,
+            order: token.order,
+            budget: SearchBudget::unlimited(),
+            within: None,
+            resume: Some(token),
+        }
+    }
+
+    /// Bound this run (one slice, when resuming) by nodes, wall-clock time,
+    /// emitted results and/or frontier size.
+    pub fn budget(mut self, budget: SearchBudget) -> Self {
+        self.budget = budget;
+        self
+    }
+
+    /// Confine the root's candidate set to `allowed`: the run enumerates
+    /// exactly the solutions **contained in** `allowed`. Restricting the root
+    /// candidates is equivalent to running the unrestricted search on the
+    /// system whose subsets are intersected with `allowed` — for the exact
+    /// driver that means exactly the minimal hitting sets `τ ⊆ allowed` (a
+    /// set `τ ⊆ allowed` hits `S` iff it hits `S ∩ allowed`, and minimality
+    /// among subsets of `allowed` coincides with global minimality because
+    /// every proper subset of a subset of `allowed` is itself a subset of
+    /// `allowed`).
+    ///
+    /// This is the local-enumeration primitive behind
+    /// [`crate::repair::repair_covers_removal`], where `allowed` is a removed
+    /// subset's complement.
+    ///
+    /// # Panics
+    /// Panics on a [`Search::resume`]d search, whose frontier already carries
+    /// the restriction of the run that produced the token.
+    pub fn within(mut self, allowed: &'a FixedBitSet) -> Self {
+        assert!(
+            self.resume.is_none(),
+            "Search::within: a resumed frontier already carries its restriction"
+        );
+        self.within = Some(allowed);
+        self
+    }
+
+    /// Run the search over `system` with `driver`, invoking `callback` once
+    /// per emitted solution. The callback may return `false` to stop the
+    /// search early; a cut run's frontier comes back in
+    /// [`SearchOutcome::suspended`].
+    ///
+    /// An unbudgeted depth-first run from the root of a driver that opts in
+    /// ([`SearchDriver::supports_inplace_dfs`], no skip branch) takes the
+    /// in-place undo walk; every other run walks the explicit frontier.
+    ///
+    /// # Panics
+    /// Panics if the [`Search::within`] restriction or the resumed token is
+    /// over a different element universe than `system`.
+    pub fn run<D, F>(
+        mut self,
+        system: &SetSystem,
+        driver: &mut D,
+        callback: &mut F,
+    ) -> SearchOutcome
+    where
+        D: SearchDriver,
+        F: FnMut(&FixedBitSet) -> bool,
+    {
+        if let Some(allowed) = self.within {
+            assert_eq!(
+                allowed.capacity(),
+                system.num_elements(),
+                "Search::within: the restriction must be over the system's element universe"
+            );
+        }
+        match self.resume.take() {
+            Some(token) => {
+                if let Some(universe) = token.universe() {
+                    assert_eq!(
+                        universe,
+                        system.num_elements(),
+                        "Search::resume: the token was produced over a different set system"
+                    );
+                }
+                drive(system, driver, &self, Some(token), callback)
+            }
+            None if self.order == SearchOrder::Dfs
+                && self.budget.is_unlimited()
+                && !driver.wants_skip_branch()
+                && driver.supports_inplace_dfs() =>
+            {
+                run_dfs_inplace(system, driver, self.strategy, self.within, callback)
+            }
+            None => drive(system, driver, &self, None, callback),
+        }
+    }
 }
 
 /// Which lane of the frontier a node came from / its children go to.
@@ -390,15 +539,16 @@ enum Lane {
 }
 
 /// The live state of a budget-cut search: the entire pending frontier plus
-/// the cumulative emission/node counters. Obtained from
-/// [`run_search_resumable`] when a [`SearchBudget`] (or the callback) cuts a
-/// run short, and handed to [`resume_search`] to continue the traversal.
+/// the cumulative emission/node counters. Carried by
+/// [`SearchOutcome::suspended`] when a [`SearchBudget`] (or the callback)
+/// cuts a run short, and handed to [`Search::resume`] to continue the
+/// traversal.
 ///
-/// Resuming with the same system, driver configuration, order, and strategy
-/// continues the *identical* deterministic traversal: the concatenation of
-/// the cover sequences emitted by the slices equals the sequence a single
-/// uncapped run emits. The token is self-describing (it records order and
-/// strategy and validates them on resume) but deliberately opaque otherwise.
+/// Resuming with the same system and driver configuration continues the
+/// *identical* deterministic traversal: the concatenation of the cover
+/// sequences emitted by the slices equals the sequence a single uncapped run
+/// emits. The token is self-describing (it records the order and strategy
+/// the resumed run uses) but deliberately opaque otherwise.
 #[derive(Debug, Clone)]
 pub struct SuspendedSearch {
     order: SearchOrder,
@@ -420,16 +570,6 @@ pub struct SuspendedSearch {
 }
 
 impl SuspendedSearch {
-    /// The frontier order the suspended run was using.
-    pub fn order(&self) -> SearchOrder {
-        self.order
-    }
-
-    /// The branch strategy the suspended run was using.
-    pub fn strategy(&self) -> BranchStrategy {
-        self.strategy
-    }
-
     /// Number of pending frontier nodes held by the token.
     pub fn frontier_len(&self) -> usize {
         self.entries.len() + self.spill.len() + usize::from(self.pending.is_some())
@@ -449,6 +589,17 @@ impl SuspendedSearch {
     /// slice of this search.
     pub fn total_contractions(&self) -> u64 {
         self.total_contractions
+    }
+
+    /// Size of the element universe the frontier was built over (`None`
+    /// when the token holds no node).
+    fn universe(&self) -> Option<usize> {
+        self.entries
+            .first()
+            .map(|(n, _, _)| n)
+            .or_else(|| self.spill.first().map(|(n, _)| n))
+            .or_else(|| self.pending.as_ref().map(|(n, _, _)| n))
+            .map(|node| node.cand.capacity())
     }
 
     /// Patch the suspended frontier in place after subsets were appended to
@@ -484,15 +635,9 @@ impl SuspendedSearch {
             "patch: appended_from {appended_from} exceeds the {}-subset system",
             system.len()
         );
-        let sample = self
-            .entries
-            .first()
-            .map(|(n, _, _)| n)
-            .or_else(|| self.spill.first().map(|(n, _)| n))
-            .or_else(|| self.pending.as_ref().map(|(n, _, _)| n));
-        if let Some(node) = sample {
+        if let Some(universe) = self.universe() {
             assert_eq!(
-                node.cand.capacity(),
+                universe,
                 system.num_elements(),
                 "patch: the token was produced over a different element universe"
             );
@@ -609,151 +754,16 @@ impl DeadlineGuard {
     }
 }
 
-/// Run the search over `system` with the given driver and configuration,
-/// invoking `callback` once per emitted solution. The callback may return
-/// `false` to stop the search early.
-///
-/// Any suspended state is discarded; use [`run_search_resumable`] when a
-/// budget-cut run should be continuable.
-pub fn run_search<D, F>(
-    system: &SetSystem,
-    driver: &mut D,
-    config: &SearchConfig,
-    callback: &mut F,
-) -> SearchOutcome
-where
-    D: SearchDriver,
-    F: FnMut(&FixedBitSet) -> bool,
-{
-    run_search_resumable(system, driver, config, callback).0
-}
-
-/// Like [`run_search`], but a budget- or callback-cut run also returns a
-/// [`SuspendedSearch`] token that [`resume_search`] can continue from. The
-/// token is `Some` exactly when [`SearchOutcome::truncation`] is `Some`,
-/// with one exception: the in-place undo walk (unbudgeted exact DFS) does
-/// not materialise a frontier, so a callback stop there yields no token.
-pub fn run_search_resumable<D, F>(
-    system: &SetSystem,
-    driver: &mut D,
-    config: &SearchConfig,
-    callback: &mut F,
-) -> (SearchOutcome, Option<SuspendedSearch>)
-where
-    D: SearchDriver,
-    F: FnMut(&FixedBitSet) -> bool,
-{
-    if config.order == SearchOrder::Dfs
-        && config.budget.is_unlimited()
-        && !driver.wants_skip_branch()
-        && driver.supports_inplace_dfs()
-    {
-        return (
-            run_dfs_inplace(system, driver, config.strategy, None, callback),
-            None,
-        );
-    }
-    drive(system, driver, config, None, None, callback)
-}
-
-/// Like [`run_search`], but with the root's candidate set restricted to
-/// `allowed`: the run enumerates exactly the solutions **contained in**
-/// `allowed`. Restricting the root candidates is equivalent to running the
-/// unrestricted search on the system whose subsets are intersected with
-/// `allowed` — for the exact driver that means exactly the minimal hitting
-/// sets `τ ⊆ allowed` (a set `τ ⊆ allowed` hits `S` iff it hits
-/// `S ∩ allowed`, and minimality among subsets of `allowed` coincides with
-/// global minimality because every proper subset of a subset of `allowed` is
-/// itself a subset of `allowed`).
-///
-/// This is the local-enumeration primitive behind
-/// [`crate::repair::repair_covers_removal`], where `allowed` is a removed
-/// subset's complement.
-///
-/// # Panics
-/// Panics if `allowed` is not over the system's element universe.
-pub fn run_search_within<D, F>(
-    system: &SetSystem,
-    driver: &mut D,
-    allowed: &FixedBitSet,
-    config: &SearchConfig,
-    callback: &mut F,
-) -> SearchOutcome
-where
-    D: SearchDriver,
-    F: FnMut(&FixedBitSet) -> bool,
-{
-    assert_eq!(
-        allowed.capacity(),
-        system.num_elements(),
-        "run_search_within: the restriction must be over the system's element universe"
-    );
-    if config.order == SearchOrder::Dfs
-        && config.budget.is_unlimited()
-        && !driver.wants_skip_branch()
-        && driver.supports_inplace_dfs()
-    {
-        return run_dfs_inplace(system, driver, config.strategy, Some(allowed), callback);
-    }
-    drive(system, driver, config, None, Some(allowed), callback).0
-}
-
-/// Continue a search suspended by an earlier budget cut.
-///
-/// `config.budget` applies to this slice alone (each slice gets its own
-/// limits); `config.order` and `config.strategy` must match the original
-/// run's, and the driver must be configured identically — the resumed
-/// traversal is then byte-identical to the uncut one.
-///
-/// # Panics
-/// Panics when the order or strategy differs from the suspended run's, or
-/// when the token does not belong to `system` (element-universe mismatch).
-pub fn resume_search<D, F>(
-    system: &SetSystem,
-    driver: &mut D,
-    config: &SearchConfig,
-    suspended: SuspendedSearch,
-    callback: &mut F,
-) -> (SearchOutcome, Option<SuspendedSearch>)
-where
-    D: SearchDriver,
-    F: FnMut(&FixedBitSet) -> bool,
-{
-    assert_eq!(
-        config.order, suspended.order,
-        "resume_search: the frontier order must match the suspended run's"
-    );
-    assert_eq!(
-        config.strategy, suspended.strategy,
-        "resume_search: the branch strategy must match the suspended run's"
-    );
-    let sample = suspended
-        .entries
-        .first()
-        .map(|(n, _, _)| n)
-        .or_else(|| suspended.spill.first().map(|(n, _)| n))
-        .or_else(|| suspended.pending.as_ref().map(|(n, _, _)| n));
-    if let Some(node) = sample {
-        assert_eq!(
-            node.cand.capacity(),
-            system.num_elements(),
-            "resume_search: the token was produced over a different set system"
-        );
-    }
-    drive(system, driver, config, Some(suspended), None, callback)
-}
-
-/// The explicit-frontier engine shared by fresh and resumed runs.
-/// `restrict` confines the root's candidate set (fresh runs only; a resumed
-/// frontier already carries its restriction in every node's `cand`).
+/// The explicit-frontier engine shared by fresh and resumed runs. A fresh
+/// run starts from the root confined to `config.within`; a resumed frontier
+/// already carries its restriction in every node's `cand`.
 fn drive<D, F>(
     system: &SetSystem,
     driver: &mut D,
-    config: &SearchConfig,
+    config: &Search<'_>,
     resume: Option<SuspendedSearch>,
-    restrict: Option<&FixedBitSet>,
     callback: &mut F,
-) -> (SearchOutcome, Option<SuspendedSearch>)
+) -> SearchOutcome
 where
     D: SearchDriver,
     F: FnMut(&FixedBitSet) -> bool,
@@ -793,7 +803,7 @@ where
         }
         None => {
             let mut frontier = Frontier::new(config);
-            let root = SearchNode::root_within(system, restrict);
+            let root = SearchNode::root_within(system, config.within);
             let root_priority = match config.order {
                 SearchOrder::Dfs => 0,
                 SearchOrder::ShortestFirst => driver.lower_bound(system, &root),
@@ -809,6 +819,13 @@ where
     let mut peak = frontier.len() + usize::from(pending.is_some());
 
     loop {
+        // The emission cap is checked first, so a cap of 0 emits nothing.
+        if let Some(max) = config.budget.max_emitted {
+            if emitted >= max {
+                stop = Some(TruncationReason::MaxEmitted);
+                break;
+            }
+        }
         if let Some(max) = config.budget.max_nodes {
             if nodes_expanded >= max {
                 stop = Some(TruncationReason::MaxNodes);
@@ -831,12 +848,6 @@ where
                 if !callback(&node.s_set) {
                     stop = Some(TruncationReason::Callback);
                     break;
-                }
-                if let Some(max) = config.budget.max_emitted {
-                    if emitted >= max {
-                        stop = Some(TruncationReason::MaxEmitted);
-                        break;
-                    }
                 }
             }
             NodeDisposition::Discard => {}
@@ -904,16 +915,14 @@ where
         }
     });
 
-    (
-        SearchOutcome {
-            emitted,
-            nodes_expanded,
-            truncation,
-            peak_frontier: peak,
-            contractions,
-        },
+    SearchOutcome {
+        emitted,
+        nodes_expanded,
+        truncation,
+        peak_frontier: peak,
+        contractions,
         suspended,
-    )
+    }
 }
 
 enum ExpandOutcome {
@@ -934,7 +943,7 @@ enum ExpandOutcome {
 fn expand<D: SearchDriver>(
     system: &SetSystem,
     driver: &mut D,
-    config: &SearchConfig,
+    config: &Search<'_>,
     node: &SearchNode,
     node_priority: usize,
     lane: Lane,
@@ -1255,6 +1264,7 @@ where
         },
         peak_frontier: ctx.peak_depth,
         contractions: 0,
+        suspended: None,
     }
 }
 
@@ -1424,7 +1434,7 @@ enum Frontier {
 }
 
 impl Frontier {
-    fn new(config: &SearchConfig) -> Self {
+    fn new(config: &Search<'_>) -> Self {
         match config.order {
             SearchOrder::Dfs => Frontier::Dfs(Vec::new()),
             SearchOrder::ShortestFirst => Frontier::Shortest {
@@ -1441,7 +1451,7 @@ impl Frontier {
     /// from the *resuming* config; keep it identical across slices for the
     /// cut-and-resume determinism guarantee to hold.
     fn restore(
-        config: &SearchConfig,
+        config: &Search<'_>,
         entries: Vec<FrontierEntry>,
         spill: Vec<SpillEntry>,
         next_seq: u64,
@@ -1653,21 +1663,17 @@ mod tests {
         }
     }
 
-    fn collect_resumable(
-        system: &SetSystem,
-        config: &SearchConfig,
-    ) -> (Vec<Vec<usize>>, SearchOutcome, Option<SuspendedSearch>) {
+    fn collect(system: &SetSystem, search: Search<'_>) -> (Vec<Vec<usize>>, SearchOutcome) {
         let mut out = Vec::new();
-        let (outcome, suspended) = run_search_resumable(
-            system,
-            &mut TestExactDriver,
-            config,
-            &mut |s: &FixedBitSet| {
-                out.push(s.to_vec());
-                true
-            },
-        );
-        (out, outcome, suspended)
+        let outcome = search.run(system, &mut TestExactDriver, &mut |s: &FixedBitSet| {
+            out.push(s.to_vec());
+            true
+        });
+        (out, outcome)
+    }
+
+    fn shortest_first() -> Search<'static> {
+        Search::new(BranchStrategy::default(), SearchOrder::ShortestFirst)
     }
 
     #[test]
@@ -1811,19 +1817,19 @@ mod tests {
         // completeness bound — so a truncated DFS run must never claim a
         // "provably complete below k" size.
         let sys = SetSystem::from_indices(8, &[&[0, 1], &[2, 3], &[4, 5], &[6, 7]]);
-        let config = SearchConfig {
-            strategy: BranchStrategy::default(),
-            order: SearchOrder::Dfs,
-            budget: SearchBudget::unlimited().with_max_nodes(3),
-        };
-        let (_, outcome, suspended) = collect_resumable(&sys, &config);
+        let search = Search::new(BranchStrategy::default(), SearchOrder::Dfs)
+            .budget(SearchBudget::unlimited().with_max_nodes(3));
+        let (_, outcome) = collect(&sys, search);
         let truncation = outcome.truncation.expect("run must be truncated");
         assert_eq!(truncation.reason, TruncationReason::MaxNodes);
         assert_eq!(
             truncation.complete_below, None,
             "DFS must not report a completeness bound"
         );
-        assert!(suspended.is_some(), "budget cut must yield a resume token");
+        assert!(
+            outcome.suspended.is_some(),
+            "budget cut must yield a resume token"
+        );
     }
 
     #[test]
@@ -1834,11 +1840,8 @@ mod tests {
         let indices: Vec<usize> = (0..512).collect();
         let sys = SetSystem::from_indices(512, &[&indices]);
         let node = SearchNode::root_within(&sys, None);
-        let config = SearchConfig {
-            strategy: BranchStrategy::default(),
-            order: SearchOrder::ShortestFirst,
-            budget: SearchBudget::unlimited().with_deadline(Duration::ZERO),
-        };
+        let config =
+            shortest_first().budget(SearchBudget::unlimited().with_deadline(Duration::ZERO));
         let mut frontier = Frontier::new(&config);
         let guard = DeadlineGuard {
             start: Instant::now(),
@@ -1866,21 +1869,14 @@ mod tests {
         // resuming to completion must emit exactly the uncapped sequence.
         let indices: Vec<usize> = (0..3000).collect();
         let sys = SetSystem::from_indices(3000, &[&indices]);
-        let config = SearchConfig {
-            strategy: BranchStrategy::default(),
-            order: SearchOrder::ShortestFirst,
-            budget: SearchBudget::unlimited(),
-        };
-        let (uncapped, outcome, _) = collect_resumable(&sys, &config);
+        let (uncapped, outcome) = collect(&sys, shortest_first());
         assert!(outcome.is_exhaustive());
         assert_eq!(uncapped.len(), 3000);
 
-        let cut_config = SearchConfig {
-            budget: SearchBudget::unlimited().with_deadline(Duration::from_nanos(1)),
-            ..config
-        };
+        let cut = shortest_first()
+            .budget(SearchBudget::unlimited().with_deadline(Duration::from_nanos(1)));
         let clock = Instant::now();
-        let (mut covers, outcome, mut suspended) = collect_resumable(&sys, &cut_config);
+        let (mut covers, outcome) = collect(&sys, cut);
         assert!(
             clock.elapsed() < Duration::from_secs(2),
             "deadline overshoot must stay bounded"
@@ -1889,21 +1885,14 @@ mod tests {
             outcome.truncation.map(|t| t.reason),
             Some(TruncationReason::Deadline)
         );
+        let mut suspended = outcome.suspended;
         let mut guard_iters = 0;
         while let Some(token) = suspended.take() {
             guard_iters += 1;
             assert!(guard_iters < 10, "resume failed to make progress");
-            let (_, next) = resume_search(
-                &sys,
-                &mut TestExactDriver,
-                &config,
-                token,
-                &mut |s: &FixedBitSet| {
-                    covers.push(s.to_vec());
-                    true
-                },
-            );
-            suspended = next;
+            let (more, next) = collect(&sys, Search::resume(token));
+            covers.extend(more);
+            suspended = next.suspended;
         }
         assert_eq!(covers, uncapped, "cut + resume must replay the sequence");
     }
@@ -1918,12 +1907,7 @@ mod tests {
         let pairs: Vec<Vec<usize>> = (0..8).map(|i| vec![2 * i, 2 * i + 1]).collect();
         let refs: Vec<&[usize]> = pairs.iter().map(|p| p.as_slice()).collect();
         let sys = SetSystem::from_indices(16, &refs);
-        let config = SearchConfig {
-            strategy: BranchStrategy::default(),
-            order: SearchOrder::ShortestFirst,
-            budget: SearchBudget::unlimited(),
-        };
-        let (unbounded, outcome, _) = collect_resumable(&sys, &config);
+        let (unbounded, outcome) = collect(&sys, shortest_first());
         assert_eq!(unbounded.len(), 256);
         assert!(outcome.contractions == 0);
         assert!(
@@ -1933,12 +1917,10 @@ mod tests {
         );
 
         let cap = 16;
-        let bounded_config = SearchConfig {
-            budget: SearchBudget::unlimited().with_max_frontier_nodes(cap),
-            ..config
-        };
-        let (bounded, outcome, suspended) = collect_resumable(&sys, &bounded_config);
-        assert!(suspended.is_none());
+        let bounded =
+            shortest_first().budget(SearchBudget::unlimited().with_max_frontier_nodes(cap));
+        let (bounded, outcome) = collect(&sys, bounded);
+        assert!(outcome.suspended.is_none());
         assert!(outcome.is_exhaustive());
         assert!(outcome.contractions > 0, "the cap must have fired");
         assert!(
@@ -1958,44 +1940,21 @@ mod tests {
         let pairs: Vec<Vec<usize>> = (0..7).map(|i| vec![2 * i, 2 * i + 1]).collect();
         let refs: Vec<&[usize]> = pairs.iter().map(|p| p.as_slice()).collect();
         let sys = SetSystem::from_indices(14, &refs);
-        let config = SearchConfig {
-            strategy: BranchStrategy::default(),
-            order: SearchOrder::ShortestFirst,
-            budget: SearchBudget::unlimited().with_max_frontier_nodes(8),
-        };
-        let (reference, outcome, _) = collect_resumable(&sys, &config);
+        let budget = SearchBudget::unlimited().with_max_frontier_nodes(8);
+        let (reference, outcome) = collect(&sys, shortest_first().budget(budget));
         assert!(outcome.is_exhaustive());
 
-        let mut covers = Vec::new();
-        let slice_config = SearchConfig {
-            budget: config.budget.with_max_nodes(13),
-            ..config
-        };
-        let (_, mut suspended) = run_search_resumable(
-            &sys,
-            &mut TestExactDriver,
-            &slice_config,
-            &mut |s: &FixedBitSet| {
-                covers.push(s.to_vec());
-                true
-            },
-        );
+        let slice = budget.with_max_nodes(13);
+        let (mut covers, outcome) = collect(&sys, shortest_first().budget(slice));
+        let mut suspended = outcome.suspended;
         let mut slices = 1;
         while let Some(token) = suspended.take() {
             slices += 1;
             assert!(slices < 10_000, "runaway resume loop");
             assert_eq!(token.total_emitted(), covers.len());
-            let (_, next) = resume_search(
-                &sys,
-                &mut TestExactDriver,
-                &slice_config,
-                token,
-                &mut |s: &FixedBitSet| {
-                    covers.push(s.to_vec());
-                    true
-                },
-            );
-            suspended = next;
+            let (more, next) = collect(&sys, Search::resume(token).budget(slice));
+            covers.extend(more);
+            suspended = next.suspended;
         }
         assert!(slices > 2, "the slice budget never fired");
         assert_eq!(
@@ -2006,27 +1965,21 @@ mod tests {
 
     #[test]
     fn resume_rejects_mismatched_configuration() {
+        // Order and strategy come from the token, so only the system can
+        // mismatch: a token cut over one element universe must not resume
+        // over another.
         let sys = SetSystem::from_indices(4, &[&[0, 1], &[2, 3]]);
-        let config = SearchConfig {
-            strategy: BranchStrategy::default(),
-            order: SearchOrder::ShortestFirst,
-            budget: SearchBudget::unlimited().with_max_nodes(1),
-        };
-        let (_, _, suspended) = collect_resumable(&sys, &config);
-        let token = suspended.expect("one-node budget must suspend");
-        let wrong_order = SearchConfig {
-            order: SearchOrder::Dfs,
-            ..config
-        };
+        let one_node = shortest_first().budget(SearchBudget::unlimited().with_max_nodes(1));
+        let (_, outcome) = collect(&sys, one_node);
+        let token = outcome.suspended.expect("one-node budget must suspend");
+        assert_eq!(
+            Search::resume(token.clone()).order,
+            SearchOrder::ShortestFirst
+        );
+        let wider = SetSystem::from_indices(5, &[&[0, 1], &[2, 3]]);
         let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            resume_search(
-                &sys,
-                &mut TestExactDriver,
-                &wrong_order,
-                token,
-                &mut |_: &FixedBitSet| true,
-            )
+            collect(&wider, Search::resume(token))
         }));
-        assert!(result.is_err(), "order mismatch must be rejected");
+        assert!(result.is_err(), "universe mismatch must be rejected");
     }
 }

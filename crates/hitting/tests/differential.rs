@@ -8,6 +8,9 @@
 //! `ShortestFirst` emission sequence must be nondecreasing in cover size.
 //! Every score call of the approximate enumerator receives the unhit subsets
 //! as runs, and the suites check those runs against a scan of the system.
+//! Budgets are differentials as well: a cut run resumed to completion
+//! replays the uncut sequence (runs confined by `Search::within` included),
+//! and an emission cap is never exceeded.
 //!
 //! Case count is controlled by `PROPTEST_CASES` (default 256); CI runs the
 //! suite with a raised count.
@@ -17,11 +20,8 @@ use adc_hitting::brute::{
     brute_force_minimal_approx_hitting_sets, brute_force_minimal_hitting_sets,
 };
 use adc_hitting::{
-    approx_minimal_hitting_sets, enumerate_minimal_hitting_sets, patch_approx_search,
-    patch_minimal_hitting_search, repair_covers, resume_approx_minimal_hitting_sets,
-    resume_minimal_hitting_sets, search_approx_minimal_hitting_sets_resumable,
-    search_minimal_hitting_sets, search_minimal_hitting_sets_resumable, shrink_covers,
-    ApproxEnumConfig, BranchStrategy, SearchBudget, SearchOrder, SetSystem,
+    repair_covers, shrink_covers, ApproxDriver, BranchStrategy, ExactDriver, Search, SearchBudget,
+    SearchDriver, SearchOrder, SearchOutcome, SetSystem, TruncationReason,
 };
 use proptest::collection::vec;
 use proptest::prelude::*;
@@ -40,32 +40,49 @@ fn build_system(universe_seed: usize, raw_subsets: &[Vec<usize>]) -> SetSystem {
     SetSystem::from_indices(num_elements, &folded_refs)
 }
 
-/// Collect MMCS results for a strategy.
-fn mmcs(system: &SetSystem, strategy: BranchStrategy) -> Vec<FixedBitSet> {
+/// Run `search` with `driver`, collecting the emission sequence.
+fn collect(
+    system: &SetSystem,
+    search: Search<'_>,
+    driver: &mut impl SearchDriver,
+) -> (Vec<FixedBitSet>, SearchOutcome) {
     let mut out = Vec::new();
-    enumerate_minimal_hitting_sets(system, strategy, |s| {
+    let outcome = search.run(system, driver, &mut |s: &FixedBitSet| {
         out.push(s.clone());
         true
     });
-    out
+    (out, outcome)
+}
+
+/// Collect MMCS results for a strategy.
+fn mmcs(system: &SetSystem, strategy: BranchStrategy) -> Vec<FixedBitSet> {
+    collect(
+        system,
+        Search::new(strategy, SearchOrder::Dfs),
+        &mut ExactDriver,
+    )
+    .0
 }
 
 /// Collect exact MMCS results under the shortest-first frontier, asserting
 /// the run reports itself exhaustive.
 fn mmcs_shortest_first(system: &SetSystem, strategy: BranchStrategy) -> Vec<FixedBitSet> {
-    let mut out = Vec::new();
-    let outcome = search_minimal_hitting_sets(
-        system,
-        strategy,
-        SearchOrder::ShortestFirst,
-        SearchBudget::unlimited(),
-        &mut |s: &FixedBitSet| {
-            out.push(s.clone());
-            true
-        },
-    );
+    let search = Search::new(strategy, SearchOrder::ShortestFirst);
+    let (out, outcome) = collect(system, search, &mut ExactDriver);
     assert!(outcome.is_exhaustive());
     out
+}
+
+/// Collect the approximate enumeration at threshold `epsilon`.
+fn approx(
+    system: &SetSystem,
+    score: impl Fn(&FixedBitSet, &[&[u32]]) -> f64,
+    epsilon: f64,
+    strategy: BranchStrategy,
+    order: SearchOrder,
+) -> Vec<FixedBitSet> {
+    let search = Search::new(strategy, order);
+    collect(system, search, &mut ApproxDriver::new(score, epsilon)).0
 }
 
 /// Assert an emission sequence is nondecreasing in cover size.
@@ -136,71 +153,61 @@ fn scanned_coverage_score(system: &SetSystem) -> impl Fn(&FixedBitSet) -> f64 + 
     move |set: &FixedBitSet| score(set, &[&scan_unhit(system, set)])
 }
 
+/// An emission sequence as index lists, in emission order.
+fn canon_sequence(sets: Vec<FixedBitSet>) -> Vec<Vec<usize>> {
+    sets.iter().map(|s| s.to_vec()).collect()
+}
+
 /// Normalise a family for comparison.
-fn canon(mut sets: Vec<FixedBitSet>) -> Vec<Vec<usize>> {
-    let mut v: Vec<Vec<usize>> = sets.drain(..).map(|s| s.to_vec()).collect();
+fn canon(sets: Vec<FixedBitSet>) -> Vec<Vec<usize>> {
+    let mut v = canon_sequence(sets);
     v.sort();
     v
 }
 
-/// Collect the exact enumeration as a sequence of node-budget slices,
-/// resuming from the suspend token until exhaustion. Returns the
-/// concatenated emission sequence and the number of slices run.
+/// Run `search` as a sequence of `slice`-budget slices, resuming from the
+/// suspend token until exhaustion. Returns the concatenated emission
+/// sequence and the number of slices run.
+fn sliced(
+    system: &SetSystem,
+    search: Search<'_>,
+    slice: SearchBudget,
+    driver: &mut impl SearchDriver,
+) -> (Vec<Vec<usize>>, usize) {
+    let mut covers: Vec<Vec<usize>> = Vec::new();
+    let mut collect = |s: &FixedBitSet| {
+        covers.push(s.to_vec());
+        true
+    };
+    let mut suspended = search
+        .budget(slice)
+        .run(system, driver, &mut collect)
+        .suspended;
+    let mut slices = 1;
+    while let Some(token) = suspended.take() {
+        slices += 1;
+        assert!(slices < 100_000, "runaway resume loop");
+        suspended = Search::resume(token)
+            .budget(slice)
+            .run(system, driver, &mut collect)
+            .suspended;
+    }
+    (covers, slices)
+}
+
+/// [`sliced`] for the exact enumeration from the root.
 fn mmcs_sliced(
     system: &SetSystem,
     strategy: BranchStrategy,
     order: SearchOrder,
     slice_budget: SearchBudget,
 ) -> (Vec<Vec<usize>>, usize) {
-    let mut covers: Vec<Vec<usize>> = Vec::new();
-    let (_, mut suspended) = search_minimal_hitting_sets_resumable(
+    sliced(
         system,
-        strategy,
-        order,
+        Search::new(strategy, order),
         slice_budget,
-        &mut |s: &FixedBitSet| {
-            covers.push(s.to_vec());
-            true
-        },
-    );
-    let mut slices = 1;
-    while let Some(token) = suspended.take() {
-        slices += 1;
-        assert!(slices < 100_000, "runaway resume loop");
-        let (_, next) =
-            resume_minimal_hitting_sets(system, slice_budget, token, &mut |s: &FixedBitSet| {
-                covers.push(s.to_vec());
-                true
-            });
-        suspended = next;
-    }
-    (covers, slices)
-}
-
-/// Same slicing harness for the approximate enumerator.
-fn approx_sliced(
-    system: &SetSystem,
-    score: impl Fn(&FixedBitSet, &[&[u32]]) -> f64,
-    config: &ApproxEnumConfig<'_>,
-) -> (Vec<Vec<usize>>, usize) {
-    let mut covers: Vec<Vec<usize>> = Vec::new();
-    let (_, _, mut suspended) =
-        search_approx_minimal_hitting_sets_resumable(system, &score, config, &mut |s| {
-            covers.push(s.to_vec());
-            true
-        });
-    let mut slices = 1;
-    while let Some(token) = suspended.take() {
-        slices += 1;
-        assert!(slices < 100_000, "runaway resume loop");
-        let (_, _, next) =
-            resume_approx_minimal_hitting_sets(system, &score, config, token, &mut |s| {
-                covers.push(s.to_vec());
-                true
-            });
-        suspended = next;
-    }
-    (covers, slices)
+        &mut ExactDriver,
+    )
 }
 
 proptest! {
@@ -223,11 +230,12 @@ proptest! {
                 "MMCS/{:?} diverged from brute force", strategy
             );
 
-            let config = ApproxEnumConfig::new(0.0).with_strategy(strategy);
-            let approx = canon(approx_minimal_hitting_sets(
+            let approx = canon(approx(
                 &system,
                 coverage_score(&system),
-                &config,
+                0.0,
+                strategy,
+                SearchOrder::Dfs,
             ));
             prop_assert_eq!(
                 &approx, &reference,
@@ -248,8 +256,8 @@ proptest! {
                 "MMCS emitted a non-minimal cover {:?}", set.to_vec()
             );
         }
-        let config = ApproxEnumConfig::new(0.0);
-        for set in approx_minimal_hitting_sets(&system, coverage_score(&system), &config) {
+        let score = coverage_score(&system);
+        for set in approx(&system, score, 0.0, BranchStrategy::default(), SearchOrder::Dfs) {
             prop_assert!(
                 system.is_minimal_hitting_set(&set),
                 "approx(ε=0) emitted a non-minimal cover {:?}", set.to_vec()
@@ -297,10 +305,8 @@ proptest! {
                 BranchStrategy::MinIntersection,
                 BranchStrategy::First,
             ] {
-                let dfs_cfg = ApproxEnumConfig::new(eps).with_strategy(strategy);
-                let sf_cfg = dfs_cfg.clone().with_order(SearchOrder::ShortestFirst);
-                let dfs = approx_minimal_hitting_sets(&system, &score, &dfs_cfg);
-                let sf = approx_minimal_hitting_sets(&system, &score, &sf_cfg);
+                let dfs = approx(&system, &score, eps, strategy, SearchOrder::Dfs);
+                let sf = approx(&system, &score, eps, strategy, SearchOrder::ShortestFirst);
                 assert_nondecreasing_sizes(&sf, &format!("approx ε={eps}/{strategy:?}"));
                 prop_assert_eq!(
                     canon(dfs), canon(sf),
@@ -316,23 +322,24 @@ proptest! {
         raw_subsets in vec(vec(0usize..16, 1..5), 1..10),
         node_slice in 1u64..12,
         emit_slice in 1usize..4,
+        allowed_bits in vec(any::<bool>(), 10..11),
     ) {
         // Cut at arbitrary points (node budget, emission budget), resume to
         // completion: the concatenated emission must equal the single
         // uncapped run's *sequence* (not just its set), for both orders.
         let system = build_system(universe_seed, &raw_subsets);
+        let allowed = FixedBitSet::from_indices(
+            system.num_elements(),
+            (0..system.num_elements()).filter(|&e| allowed_bits[e]),
+        );
+        let confined_reference: Vec<Vec<usize>> = canon(brute_force_minimal_hitting_sets(&system))
+            .into_iter()
+            .filter(|cover| cover.iter().all(|&e| allowed.contains(e)))
+            .collect();
         for order in [SearchOrder::Dfs, SearchOrder::ShortestFirst] {
-            let mut reference: Vec<Vec<usize>> = Vec::new();
-            let outcome = search_minimal_hitting_sets(
-                &system,
-                BranchStrategy::MaxIntersection,
-                order,
-                SearchBudget::unlimited(),
-                &mut |s: &FixedBitSet| {
-                    reference.push(s.to_vec());
-                    true
-                },
-            );
+            let search = Search::new(BranchStrategy::MaxIntersection, order);
+            let (reference, outcome) = collect(&system, search, &mut ExactDriver);
+            let reference = canon_sequence(reference);
             prop_assert!(outcome.is_exhaustive());
 
             let (by_nodes, _) = mmcs_sliced(
@@ -350,6 +357,20 @@ proptest! {
                 SearchBudget::unlimited().with_max_emitted(emit_slice),
             );
             prop_assert_eq!(&by_emitted, &reference, "emission-sliced {:?}", order);
+
+            // A run confined to `allowed` and cut by a node budget resumes to
+            // the unbudgeted confined run's sequence, whose answer set is
+            // the brute-force answer restricted to subsets of `allowed`.
+            let confined = Search::new(BranchStrategy::MaxIntersection, order).within(&allowed);
+            let (whole, outcome) = collect(&system, confined.clone(), &mut ExactDriver);
+            let whole = canon_sequence(whole);
+            prop_assert!(outcome.is_exhaustive());
+            let slice = SearchBudget::unlimited().with_max_nodes(node_slice);
+            let (by_nodes, _) = sliced(&system, confined, slice, &mut ExactDriver);
+            prop_assert_eq!(&by_nodes, &whole, "confined node-sliced {:?}", order);
+            let mut answer = whole;
+            answer.sort();
+            prop_assert_eq!(&answer, &confined_reference, "confined {:?}", order);
         }
     }
 
@@ -365,25 +386,64 @@ proptest! {
         let score = coverage_score(&system);
         for eps in [0.0, epsilon] {
             for order in [SearchOrder::Dfs, SearchOrder::ShortestFirst] {
-                let uncapped_cfg = ApproxEnumConfig::new(eps).with_order(order);
-                let mut reference: Vec<Vec<usize>> = Vec::new();
-                let (_, outcome, token) = search_approx_minimal_hitting_sets_resumable(
-                    &system,
-                    &score,
-                    &uncapped_cfg,
-                    &mut |s| {
-                        reference.push(s.to_vec());
-                        true
-                    },
-                );
+                let search = Search::new(BranchStrategy::default(), order);
+                let (reference, outcome) =
+                    collect(&system, search.clone(), &mut ApproxDriver::new(&score, eps));
+                let reference = canon_sequence(reference);
                 prop_assert!(outcome.is_exhaustive());
-                prop_assert!(token.is_none());
+                prop_assert!(outcome.suspended.is_none());
 
-                let sliced_cfg = uncapped_cfg
-                    .clone()
-                    .with_budget(SearchBudget::unlimited().with_max_nodes(node_slice));
-                let (covers, _) = approx_sliced(&system, &score, &sliced_cfg);
+                let slice = SearchBudget::unlimited().with_max_nodes(node_slice);
+                let (covers, _) =
+                    sliced(&system, search, slice, &mut ApproxDriver::new(&score, eps));
                 prop_assert_eq!(&covers, &reference, "ε={} {:?}", eps, order);
+            }
+        }
+    }
+
+    #[test]
+    fn emission_cap_is_never_exceeded(
+        universe_seed in 0usize..1_000,
+        raw_subsets in vec(vec(0usize..16, 1..5), 1..10),
+        epsilon_mil in 0usize..400,
+    ) {
+        // A cap of k emits at most k results — none at k = 0 — and they are
+        // the uncapped run's first k; a cap that cut results off reports
+        // `MaxEmitted`. Exact and approximate, under both orders.
+        let epsilon = epsilon_mil as f64 / 1_000.0 + 0.000_5;
+        let system = build_system(universe_seed, &raw_subsets);
+        let score = coverage_score(&system);
+        for cap in [0, 1, 3] {
+            for order in [SearchOrder::Dfs, SearchOrder::ShortestFirst] {
+                let search = Search::new(BranchStrategy::MaxIntersection, order);
+                let capped = search
+                    .clone()
+                    .budget(SearchBudget::unlimited().with_max_emitted(cap));
+                let runs = [
+                    (
+                        collect(&system, search.clone(), &mut ExactDriver).0,
+                        collect(&system, capped.clone(), &mut ExactDriver),
+                    ),
+                    (
+                        collect(&system, search, &mut ApproxDriver::new(&score, epsilon)).0,
+                        collect(&system, capped, &mut ApproxDriver::new(&score, epsilon)),
+                    ),
+                ];
+                for (whole, (covers, outcome)) in runs {
+                    prop_assert!(
+                        outcome.emitted <= cap,
+                        "cap {} emitted {} ({:?})", cap, outcome.emitted, order
+                    );
+                    prop_assert_eq!(covers.len(), outcome.emitted);
+                    let prefix = whole[..whole.len().min(cap)].to_vec();
+                    prop_assert_eq!(canon_sequence(covers), canon_sequence(prefix));
+                    if whole.len() > cap {
+                        prop_assert_eq!(
+                            outcome.truncation.map(|t| t.reason),
+                            Some(TruncationReason::MaxEmitted)
+                        );
+                    }
+                }
             }
         }
     }
@@ -403,17 +463,9 @@ proptest! {
         let unbounded = canon(mmcs(&system, BranchStrategy::MaxIntersection));
 
         let bounded_budget = SearchBudget::unlimited().with_max_frontier_nodes(cap);
-        let mut bounded: Vec<Vec<usize>> = Vec::new();
-        let outcome = search_minimal_hitting_sets(
-            &system,
-            BranchStrategy::MaxIntersection,
-            SearchOrder::ShortestFirst,
-            bounded_budget,
-            &mut |s: &FixedBitSet| {
-                bounded.push(s.to_vec());
-                true
-            },
-        );
+        let search = Search::new(BranchStrategy::MaxIntersection, SearchOrder::ShortestFirst);
+        let (bounded, outcome) = collect(&system, search.budget(bounded_budget), &mut ExactDriver);
+        let bounded = canon_sequence(bounded);
         prop_assert!(outcome.is_exhaustive());
         let mut bounded_set = bounded.clone();
         bounded_set.sort();
@@ -442,28 +494,10 @@ proptest! {
             BranchStrategy::MinIntersection,
             BranchStrategy::First,
         ] {
-            let mut inplace: Vec<Vec<usize>> = Vec::new();
-            search_minimal_hitting_sets(
-                &system,
-                strategy,
-                SearchOrder::Dfs,
-                SearchBudget::unlimited(),
-                &mut |s: &FixedBitSet| {
-                    inplace.push(s.to_vec());
-                    true
-                },
-            );
-            let mut explicit: Vec<Vec<usize>> = Vec::new();
-            search_minimal_hitting_sets(
-                &system,
-                strategy,
-                SearchOrder::Dfs,
-                SearchBudget::unlimited().with_max_nodes(u64::MAX),
-                &mut |s: &FixedBitSet| {
-                    explicit.push(s.to_vec());
-                    true
-                },
-            );
+            let search = Search::new(strategy, SearchOrder::Dfs);
+            let inplace = canon_sequence(collect(&system, search.clone(), &mut ExactDriver).0);
+            let forced = search.budget(SearchBudget::unlimited().with_max_nodes(u64::MAX));
+            let explicit = canon_sequence(collect(&system, forced, &mut ExactDriver).0);
             prop_assert_eq!(&inplace, &explicit, "strategy {:?}", strategy);
         }
     }
@@ -486,8 +520,7 @@ proptest! {
             scanned_coverage_score(&system),
             epsilon,
         ));
-        let config = ApproxEnumConfig::new(epsilon);
-        let found = canon(approx_minimal_hitting_sets(&system, &score, &config));
+        let found = canon(approx(&system, &score, epsilon, BranchStrategy::default(), SearchOrder::Dfs));
         prop_assert_eq!(found, reference);
     }
 }
@@ -516,38 +549,26 @@ proptest! {
                 BranchStrategy::First,
             ] {
                 for grouped in [false, true] {
-                    let mut base = ApproxEnumConfig::new(eps).with_strategy(strategy);
-                    if grouped {
-                        base = base.with_element_groups(groups);
-                    }
+                    let driver = || {
+                        let driver = ApproxDriver::new(&score, eps);
+                        if grouped {
+                            driver.element_groups(groups)
+                        } else {
+                            driver
+                        }
+                    };
                     for order in [SearchOrder::Dfs, SearchOrder::ShortestFirst] {
-                        let config = base.clone().with_order(order);
-                        let whole = canon(approx_minimal_hitting_sets(&system, &score, &config));
-                        let (sliced, _) = approx_sliced(
-                            &system,
-                            &score,
-                            &config
-                                .clone()
-                                .with_budget(SearchBudget::unlimited().with_max_nodes(node_slice)),
-                        );
-                        let mut sliced = sliced;
-                        sliced.sort();
-                        prop_assert_eq!(sliced, whole, "ε={} {:?} {:?}", eps, strategy, order);
+                        let search = Search::new(strategy, order);
+                        let whole = canon(collect(&system, search.clone(), &mut driver()).0);
+                        let slice = SearchBudget::unlimited().with_max_nodes(node_slice);
+                        let (mut by_slices, _) = sliced(&system, search, slice, &mut driver());
+                        by_slices.sort();
+                        prop_assert_eq!(by_slices, whole, "ε={} {:?} {:?}", eps, strategy, order);
                     }
-                    let bounded = base
-                        .clone()
-                        .with_order(SearchOrder::ShortestFirst)
-                        .with_budget(SearchBudget::unlimited().with_max_frontier_nodes(cap));
-                    approx_minimal_hitting_sets(&system, &score, &bounded);
-                    approx_sliced(
-                        &system,
-                        &score,
-                        &bounded.clone().with_budget(
-                            SearchBudget::unlimited()
-                                .with_max_frontier_nodes(cap)
-                                .with_max_nodes(node_slice),
-                        ),
-                    );
+                    let bounded = SearchBudget::unlimited().with_max_frontier_nodes(cap);
+                    let search = Search::new(strategy, SearchOrder::ShortestFirst);
+                    collect(&system, search.clone().budget(bounded), &mut driver());
+                    sliced(&system, search, bounded.with_max_nodes(node_slice), &mut driver());
                 }
             }
         }
@@ -647,33 +668,18 @@ proptest! {
         // (and hence appears in its full answer), and no cover — pre- or
         // post-patch — is ever emitted twice.
         let system = build_system(universe_seed, &raw_subsets);
-        let mut covers: Vec<FixedBitSet> = Vec::new();
-        let (_, suspended) = search_minimal_hitting_sets_resumable(
-            &system,
-            BranchStrategy::MaxIntersection,
-            SearchOrder::ShortestFirst,
-            SearchBudget::unlimited().with_max_nodes(budget_nodes),
-            &mut |s: &FixedBitSet| {
-                covers.push(s.clone());
-                true
-            },
-        );
-        let Some(mut token) = suspended else { continue };
+        let search = Search::new(BranchStrategy::MaxIntersection, SearchOrder::ShortestFirst)
+            .budget(SearchBudget::unlimited().with_max_nodes(budget_nodes));
+        let (mut covers, outcome) = collect(&system, search, &mut ExactDriver);
+        let Some(mut token) = outcome.suspended else { continue };
         let pre_patch = covers.len();
         let (grown, appended_from) = grow_system(&system, &raw_appended);
-        patch_minimal_hitting_search(&mut token, &grown, appended_from);
+        token.patch(&grown, appended_from);
         let mut next = Some(token);
         while let Some(t) = next.take() {
-            let (_, again) = resume_minimal_hitting_sets(
-                &grown,
-                SearchBudget::unlimited(),
-                t,
-                &mut |s: &FixedBitSet| {
-                    covers.push(s.clone());
-                    true
-                },
-            );
-            next = again;
+            let (more, again) = collect(&grown, Search::resume(t), &mut ExactDriver);
+            covers.extend(more);
+            next = again.suspended;
         }
         let full: std::collections::HashSet<Vec<usize>> =
             canon(brute_force_minimal_hitting_sets(&grown))
@@ -701,52 +707,22 @@ proptest! {
         budget_nodes in 1u64..24,
     ) {
         let system = build_system(universe_seed, &raw_subsets);
-        let config = ApproxEnumConfig::new(0.0)
-            .with_order(SearchOrder::ShortestFirst)
-            .with_budget(SearchBudget::unlimited().with_max_nodes(budget_nodes));
-        let mut covers: Vec<FixedBitSet> = Vec::new();
-        let (_, _, suspended) = search_approx_minimal_hitting_sets_resumable(
-            &system,
-            checked_coverage_score(&system),
-            &config,
-            &mut |s| {
-                covers.push(s.clone());
-                true
-            },
-        );
-        let Some(mut token) = suspended else { continue };
+        let search = Search::new(BranchStrategy::default(), SearchOrder::ShortestFirst)
+            .budget(SearchBudget::unlimited().with_max_nodes(budget_nodes));
+        let mut driver = ApproxDriver::new(checked_coverage_score(&system), 0.0);
+        let (mut covers, outcome) = collect(&system, search, &mut driver);
+        let Some(mut token) = outcome.suspended else { continue };
         let pre_patch = covers.len();
         let (grown, appended_from) = grow_system(&system, &raw_appended);
-        // ε > 0 must refuse to patch; ε = 0 must succeed.
-        let mut reject_probe = token.clone();
-        prop_assert_eq!(
-            patch_approx_search(
-                &mut reject_probe,
-                &grown,
-                &ApproxEnumConfig::new(0.25),
-                appended_from
-            ),
-            None
-        );
-        prop_assert!(
-            patch_approx_search(&mut token, &grown, &config, appended_from).is_some()
-        );
+        token.patch(&grown, appended_from);
         // The checked score also pins the unhit runs of the patched frontier
         // against the grown system.
-        let resume_config = ApproxEnumConfig::new(0.0).with_order(SearchOrder::ShortestFirst);
+        let mut driver = ApproxDriver::new(checked_coverage_score(&grown), 0.0);
         let mut next = Some(token);
         while let Some(t) = next.take() {
-            let (_, _, again) = resume_approx_minimal_hitting_sets(
-                &grown,
-                checked_coverage_score(&grown),
-                &resume_config,
-                t,
-                &mut |s| {
-                    covers.push(s.clone());
-                    true
-                },
-            );
-            next = again;
+            let (more, again) = collect(&grown, Search::resume(t), &mut driver);
+            covers.extend(more);
+            next = again.suspended;
         }
         for s in &covers[pre_patch..] {
             prop_assert!(
