@@ -44,7 +44,7 @@
 //! [`SearchOrder::ShortestFirst`]: crate::SearchOrder::ShortestFirst
 //! [`SearchBudget`]: crate::SearchBudget
 
-use crate::search::{NodeDisposition, SearchDriver, SearchNode};
+use crate::search::{ones, NodeDisposition, SearchDriver, SearchNode};
 use crate::SetSystem;
 use adc_data::FixedBitSet;
 
@@ -109,6 +109,16 @@ pub struct ApproxDriver<S> {
     group_peers: Option<Vec<FixedBitSet>>,
     will_cover_pruning: bool,
     score_evaluations: u64,
+    /// Reused buffers for a node's `uncov` and one `crit[i]`, decoded from
+    /// the node's bitset regions into the ascending ids `score` takes.
+    uncov_ids: Vec<u32>,
+    crit_ids: Vec<u32>,
+}
+
+/// Replace `ids` with the set-bit positions of a word region, ascending.
+fn decode(words: &[u64], ids: &mut Vec<u32>) {
+    ids.clear();
+    ids.extend(ones(words).map(|fi| fi as u32));
 }
 
 impl<S: Fn(&FixedBitSet, &[&[u32]]) -> f64> ApproxDriver<S> {
@@ -135,6 +145,8 @@ impl<S: Fn(&FixedBitSet, &[&[u32]]) -> f64> ApproxDriver<S> {
             group_peers: None,
             will_cover_pruning: true,
             score_evaluations: 0,
+            uncov_ids: Vec::new(),
+            crit_ids: Vec::new(),
         }
     }
 
@@ -165,6 +177,33 @@ impl<S: Fn(&FixedBitSet, &[&[u32]]) -> f64> ApproxDriver<S> {
         self.score_evaluations += 1;
         1.0 - (self.score)(set, unhit) <= self.epsilon
     }
+
+    /// The threshold test of a node, then `IsMinimal` of Figure 5: no
+    /// single-element removal stays within ε. Dropping `s[i]` un-hits exactly
+    /// the subsets only it hit, so its unhit runs are `[uncov, crit[i]]`.
+    fn classify_decoded(
+        &mut self,
+        node: &SearchNode,
+        uncov: &[u32],
+        crit: &mut Vec<u32>,
+    ) -> NodeDisposition {
+        // Base case: once the threshold is met, no strict superset can be
+        // minimal (monotonicity), so the node is terminal either way.
+        if !self.meets_threshold(node.solution(), &[uncov]) {
+            return NodeDisposition::Expand;
+        }
+        let mut smaller = node.solution().clone();
+        for (i, &e) in node.elements().iter().enumerate() {
+            smaller.remove(e);
+            decode(node.crit(i), crit);
+            let within = self.meets_threshold(&smaller, &[uncov, crit]);
+            smaller.insert(e);
+            if within {
+                return NodeDisposition::Discard;
+            }
+        }
+        NodeDisposition::Emit
+    }
 }
 
 impl<S: Fn(&FixedBitSet, &[&[u32]]) -> f64> SearchDriver for ApproxDriver<S> {
@@ -176,23 +215,13 @@ impl<S: Fn(&FixedBitSet, &[&[u32]]) -> f64> SearchDriver for ApproxDriver<S> {
                 "element_groups length must equal the number of elements"
             );
         }
-        // Base case: once the threshold is met, no strict superset can be
-        // minimal (monotonicity), so the node is terminal either way.
-        if !self.meets_threshold(node.solution(), &[node.uncov()]) {
-            return NodeDisposition::Expand;
-        }
-        // `IsMinimal` of Figure 5: no single-element removal stays within ε.
-        // Dropping `s[i]` un-hits exactly the subsets only it hit.
-        let mut smaller = node.solution().clone();
-        for (i, &e) in node.elements().iter().enumerate() {
-            smaller.remove(e);
-            let within = self.meets_threshold(&smaller, &[node.uncov(), node.crit(i)]);
-            smaller.insert(e);
-            if within {
-                return NodeDisposition::Discard;
-            }
-        }
-        NodeDisposition::Emit
+        let mut uncov = std::mem::take(&mut self.uncov_ids);
+        let mut crit = std::mem::take(&mut self.crit_ids);
+        decode(node.uncov(), &mut uncov);
+        let disposition = self.classify_decoded(node, &uncov, &mut crit);
+        self.uncov_ids = uncov;
+        self.crit_ids = crit;
+        disposition
     }
 
     fn wants_skip_branch(&self) -> bool {

@@ -166,21 +166,37 @@ impl SetSystem {
     }
 
     /// `true` if `set` is a hitting set and no proper subset of it is.
+    ///
+    /// One pass over the subsets: `set` is minimal iff it hits every subset
+    /// and each of its elements is the only hitter of some subset (dropping
+    /// an element un-hits exactly the subsets it alone hits, and hitting
+    /// sets are closed under supersets, so single-element removals suffice).
     pub fn is_minimal_hitting_set(&self, set: &FixedBitSet) -> bool {
-        if !self.is_hitting_set(set) {
-            return false;
+        let mut needed = FixedBitSet::new(set.capacity());
+        for subset in &self.subsets {
+            let mut hits = subset
+                .as_words()
+                .iter()
+                .zip(set.as_words())
+                .enumerate()
+                .filter(|&(_, (&a, &b))| a & b != 0);
+            match (hits.next(), hits.next()) {
+                (None, _) => return false,
+                (Some((wi, (&a, &b))), None) if (a & b).count_ones() == 1 => {
+                    needed.insert(wi * 64 + (a & b).trailing_zeros() as usize);
+                }
+                _ => {}
+            }
         }
-        set.iter().all(|e| {
-            let mut smaller = set.clone();
-            smaller.remove(e);
-            !self.is_hitting_set(&smaller)
-        })
+        needed == *set
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::collection::vec;
+    use proptest::prelude::*;
 
     #[test]
     fn set_system_basics() {
@@ -196,6 +212,60 @@ mod tests {
         assert!(!sys.is_minimal_hitting_set(&non_min));
         let not_hs = FixedBitSet::from_indices(4, [0, 3]);
         assert!(!sys.is_hitting_set(&not_hs));
+    }
+
+    /// The textbook definition: a hitting set no single-element removal of
+    /// which still hits every subset.
+    fn is_minimal_by_removal(system: &SetSystem, set: &FixedBitSet) -> bool {
+        system.is_hitting_set(set)
+            && set.iter().all(|e| {
+                let mut smaller = set.clone();
+                smaller.remove(e);
+                !system.is_hitting_set(&smaller)
+            })
+    }
+
+    proptest! {
+        /// The one-pass check agrees with the removal definition, on systems
+        /// spanning several words of elements and on sets of every size.
+        #[test]
+        fn one_pass_minimality_matches_the_removal_definition(
+            m in 1usize..140,
+            raw_subsets in vec(vec(0usize..140, 1..6), 0..12),
+            raw_set in vec(0usize..140, 0..8),
+            make_hitting in any::<bool>(),
+        ) {
+            let subsets: Vec<FixedBitSet> = raw_subsets
+                .iter()
+                .map(|s| FixedBitSet::from_indices(m, s.iter().map(|&e| e % m)))
+                .collect();
+            let system = SetSystem::new(m, subsets);
+            let mut set = FixedBitSet::from_indices(m, raw_set.iter().map(|&e| e % m));
+            if make_hitting {
+                // One element per subset: a hitting set, often not minimal.
+                for subset in system.subsets() {
+                    if let Some(e) = subset.first() {
+                        set.insert(e);
+                    }
+                }
+            }
+            prop_assert_eq!(
+                system.is_minimal_hitting_set(&set),
+                is_minimal_by_removal(&system, &set)
+            );
+            // Every greedy shrink of the set must be minimal under both.
+            let mut shrunk = set.clone();
+            if system.is_hitting_set(&shrunk) {
+                for e in set.iter() {
+                    shrunk.remove(e);
+                    if !system.is_hitting_set(&shrunk) {
+                        shrunk.insert(e);
+                    }
+                }
+                prop_assert!(system.is_minimal_hitting_set(&shrunk));
+                prop_assert!(is_minimal_by_removal(&system, &shrunk));
+            }
+        }
     }
 
     #[test]

@@ -28,7 +28,9 @@
 //! *before* the patch are the caller's to repair
 //! ([`crate::repair::repair_covers`]).
 
-use crate::search::{greedy_disjoint_lower_bound, NodeDisposition, SearchDriver, SearchNode};
+use crate::search::{
+    greedy_disjoint_lower_bound, is_zero, NodeDisposition, SearchDriver, SearchNode,
+};
 use crate::SetSystem;
 
 /// The exact MMCS configuration of the search engine: emit exactly the
@@ -38,7 +40,7 @@ pub struct ExactDriver;
 
 impl SearchDriver for ExactDriver {
     fn classify(&mut self, _system: &SetSystem, node: &SearchNode) -> NodeDisposition {
-        if node.uncov().is_empty() {
+        if is_zero(node.uncov()) {
             // Criticality is maintained along every path, so a full cover is
             // automatically minimal.
             NodeDisposition::Emit

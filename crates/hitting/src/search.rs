@@ -40,6 +40,14 @@
 //! visits the identical tree in the identical order while mutating a single
 //! node's state with O(1) undo instead of cloning it per child.
 //!
+//! A node holds `uncov` and its criticality sets as bitsets over subset
+//! ids, packed into one buffer of `⌈subsets / 64⌉`-word regions. Each run
+//! builds the element → subsets incidence once, as one bitset column per
+//! element, so a hitting child for `e` costs a few word operations per
+//! region (`crit & !col[e]`, `uncov & !col[e]`, `uncov & col[e]`) instead
+//! of one membership test per subset. Set bits iterate in ascending subset
+//! order, which fixes subset selection and hence the whole traversal.
+//!
 //! Every run goes through one value, [`Search`]: a branch strategy, a
 //! frontier order, a budget, and where the walk starts — the root, optionally
 //! confined to a set of allowed elements, or a suspended frontier. Its single
@@ -205,35 +213,108 @@ impl SearchOutcome {
     }
 }
 
-/// Compact storage for a node's `uncov` and `crit` lists: one shared `u32`
-/// buffer addressed by region bounds, instead of one heap allocation per
-/// list. Region 0 is `uncov`; region `i + 1` is `crit[i]`. The whole thing
-/// sits behind an `Rc` so children that keep the lists unchanged (the
-/// non-hitting branch) share them for free — this is what makes wide
-/// frontiers cheap enough to hold and suspend.
+/// A node's `uncov` and `crit` sets as bitset regions over subset ids, packed
+/// into one buffer: region 0 is `uncov`, region `i + 1` is `crit[i]`, and
+/// each region is `stride = ⌈subsets / 64⌉` words (bits at or past the subset
+/// count are always zero). The whole thing sits behind an `Rc` so children
+/// that keep the sets unchanged (the non-hitting branch) share them for
+/// free — this is what makes wide frontiers cheap enough to hold and suspend.
 #[derive(Debug)]
 struct NodeLists {
-    buf: Box<[u32]>,
-    /// `bounds[i]..bounds[i + 1]` delimits region `i`.
-    bounds: Box<[u32]>,
+    words: Box<[u64]>,
+    stride: usize,
 }
 
 impl NodeLists {
     fn root(num_subsets: usize) -> Self {
         NodeLists {
-            buf: (0..num_subsets as u32).collect(),
-            bounds: vec![0, num_subsets as u32].into_boxed_slice(),
+            words: FixedBitSet::full(num_subsets).as_words().into(),
+            stride: num_subsets.div_ceil(64),
         }
     }
 
-    fn region(&self, i: usize) -> &[u32] {
-        &self.buf[self.bounds[i] as usize..self.bounds[i + 1] as usize]
+    fn region(&self, i: usize) -> &[u64] {
+        &self.words[i * self.stride..(i + 1) * self.stride]
+    }
+}
+
+/// The element → subsets incidence of a system: per element, one bitset
+/// column of `stride` words holding the subsets that contain it. Built once
+/// per [`Search::run`], it answers "does element `e` hit subset `F`?" for a
+/// whole region at a time.
+struct Columns {
+    words: Vec<u64>,
+    stride: usize,
+}
+
+impl Columns {
+    fn new(system: &SetSystem) -> Self {
+        let stride = system.len().div_ceil(64);
+        let mut words = vec![0u64; system.num_elements() * stride];
+        for (fi, subset) in system.subsets().iter().enumerate() {
+            for e in subset.iter() {
+                words[e * stride + fi / 64] |= 1u64 << (fi % 64);
+            }
+        }
+        Columns { words, stride }
     }
 
-    /// Number of criticality regions (equals `|S|`).
-    fn crit_regions(&self) -> usize {
-        self.bounds.len() - 2
+    /// The subsets element `e` hits.
+    fn col(&self, e: usize) -> &[u64] {
+        &self.words[e * self.stride..(e + 1) * self.stride]
     }
+}
+
+/// Set-bit positions of a word region, ascending.
+pub(crate) fn ones(words: &[u64]) -> impl Iterator<Item = usize> + '_ {
+    words.iter().enumerate().flat_map(|(wi, &word)| {
+        let mut rest = word;
+        std::iter::from_fn(move || {
+            (rest != 0).then(|| {
+                let bit = rest.trailing_zeros() as usize;
+                rest &= rest - 1;
+                wi * 64 + bit
+            })
+        })
+    })
+}
+
+/// `true` when a word region holds no set bit.
+pub(crate) fn is_zero(words: &[u64]) -> bool {
+    words.iter().all(|&w| w == 0)
+}
+
+/// The child-construction kernel shared by every walk: from a parent's
+/// regions (`uncov` plus `crit_regions` criticality sets) and the column of
+/// the element `e` entering the solution, write the child's regions into
+/// `child` (`crit_regions + 2` regions):
+///
+/// * `crit'ᵢ = critᵢ & !col` — returns `false` as soon as one is empty: some
+///   element of `S` would stop being critical, so no minimal solution
+///   extends `S ∪ {e}` (`child` is then partially written);
+/// * `uncov' = uncov & !col`;
+/// * the new element's criticality set, `uncov & col`, last.
+fn hit_child(parent: &[u64], crit_regions: usize, col: &[u64], child: &mut [u64]) -> bool {
+    let stride = col.len();
+    for i in 1..=crit_regions {
+        let crit = &parent[i * stride..(i + 1) * stride];
+        let out = &mut child[i * stride..(i + 1) * stride];
+        let mut any = 0u64;
+        for ((o, &c), &h) in out.iter_mut().zip(crit).zip(col) {
+            *o = c & !h;
+            any |= *o;
+        }
+        if any == 0 {
+            return false;
+        }
+    }
+    let (kept, rest) = child.split_at_mut(stride);
+    let covered = &mut rest[crit_regions * stride..];
+    for (((k, v), &u), &h) in kept.iter_mut().zip(covered).zip(parent).zip(col) {
+        *k = u & !h;
+        *v = u & h;
+    }
+    true
 }
 
 /// A frontier node: a partial solution plus the MMCS bookkeeping needed to
@@ -246,9 +327,9 @@ pub struct SearchNode {
     s_set: FixedBitSet,
     /// Elements still allowed into the solution.
     cand: FixedBitSet,
-    /// `uncov` (subsets not yet hit, stable ascending order) and `crit[i]`
-    /// (subsets for which `s[i]` is the only hitter; every region non-empty —
-    /// the MMCS minimality invariant), interned in one compact buffer.
+    /// `uncov` (subsets not yet hit) and `crit[i]` (subsets for which `s[i]`
+    /// is the only hitter; every region non-empty — the MMCS minimality
+    /// invariant), as bitset regions in one buffer.
     lists: Rc<NodeLists>,
     /// Subsets still reachable by some candidate (only thinned by drivers
     /// that take the non-hitting branch; shared untouched otherwise).
@@ -287,16 +368,19 @@ impl SearchNode {
         &self.cand
     }
 
-    /// Indexes of the subsets not yet hit by the partial solution, in stable
-    /// ascending order.
-    pub fn uncov(&self) -> &[u32] {
+    /// The subsets not yet hit by the partial solution, as the words of a
+    /// bitset over subset indexes: bit `fi % 64` of word `fi / 64` is set iff
+    /// subset `fi` is uncovered. There are `⌈subsets / 64⌉` words, and bits
+    /// at or past the subset count are zero, so the region is empty iff every
+    /// word is zero.
+    pub fn uncov(&self) -> &[u64] {
         self.lists.region(0)
     }
 
-    /// `crit[i]`: the subsets for which `s[i]` is the only hitter, in stable
-    /// ascending order. `uncov` and `crit[i]` are disjoint, and together they
-    /// are exactly the subsets the solution without `s[i]` leaves unhit.
-    pub(crate) fn crit(&self, i: usize) -> &[u32] {
+    /// `crit[i]`: the subsets for which `s[i]` is the only hitter, laid out
+    /// like [`Self::uncov`]. `uncov` and `crit[i]` are disjoint, and together
+    /// they are exactly the subsets the solution without `s[i]` leaves unhit.
+    pub(crate) fn crit(&self, i: usize) -> &[u64] {
         self.lists.region(i + 1)
     }
 }
@@ -485,8 +569,10 @@ impl<'a> Search<'a> {
     /// in-place undo walk; every other run walks the explicit frontier.
     ///
     /// # Panics
-    /// Panics if the [`Search::within`] restriction or the resumed token is
-    /// over a different element universe than `system`.
+    /// Panics if the [`Search::within`] restriction is over a different
+    /// element universe than `system`, or the resumed token was produced
+    /// over (or last patched to) a system with a different element or
+    /// subset count.
     pub fn run<D, F>(
         mut self,
         system: &SetSystem,
@@ -504,25 +590,31 @@ impl<'a> Search<'a> {
                 "Search::within: the restriction must be over the system's element universe"
             );
         }
+        let columns = Columns::new(system);
         match self.resume.take() {
             Some(token) => {
-                if let Some(universe) = token.universe() {
-                    assert_eq!(
-                        universe,
-                        system.num_elements(),
-                        "Search::resume: the token was produced over a different set system"
-                    );
-                }
-                drive(system, driver, &self, Some(token), callback)
+                let universe = token.universe().unwrap_or(system.num_elements());
+                assert!(
+                    universe == system.num_elements() && token.num_subsets == system.len(),
+                    "Search::resume: the token was produced over a different set system"
+                );
+                drive(system, &columns, driver, &self, Some(token), callback)
             }
             None if self.order == SearchOrder::Dfs
                 && self.budget.is_unlimited()
                 && !driver.wants_skip_branch()
                 && driver.supports_inplace_dfs() =>
             {
-                run_dfs_inplace(system, driver, self.strategy, self.within, callback)
+                run_dfs_inplace(
+                    system,
+                    &columns,
+                    driver,
+                    self.strategy,
+                    self.within,
+                    callback,
+                )
             }
-            None => drive(system, driver, &self, None, callback),
+            None => drive(system, &columns, driver, &self, None, callback),
         }
     }
 }
@@ -563,6 +655,8 @@ pub struct SuspendedSearch {
     /// the deadline; it is re-expanded (from scratch, deterministically)
     /// before the frontier is popped again.
     pending: Option<(SearchNode, usize, bool)>,
+    /// Subset count of the system the frontier's regions are laid out for.
+    num_subsets: usize,
     next_seq: u64,
     total_nodes_expanded: u64,
     total_emitted: usize,
@@ -608,13 +702,14 @@ impl SuspendedSearch {
     ///
     /// Every pending node classifies each appended subset against its
     /// partial solution `S`: a subset `S` misses joins the node's `uncov`
-    /// list, a subset hit by exactly one `s ∈ S` joins `s`'s criticality
-    /// list, and a subset hit twice or more needs no bookkeeping. Appended
-    /// indexes are larger than every existing one, so appending them keeps
-    /// each list's stable ascending order, and node priorities stay
-    /// admissible under [`SearchOrder::ShortestFirst`] (new subsets only
-    /// increase the elements a branch still needs). Returns the number of
-    /// pending nodes that gained at least one uncovered subset.
+    /// set, a subset hit by exactly one `s ∈ S` joins `s`'s criticality set,
+    /// and a subset hit twice or more needs no bookkeeping. When the append
+    /// crosses a multiple of 64 subsets, every node's regions are re-laid at
+    /// the wider stride first. Existing subset indexes keep their bits, and
+    /// node priorities stay admissible under [`SearchOrder::ShortestFirst`]
+    /// (new subsets only increase the elements a branch still needs).
+    /// Returns the number of pending nodes that gained at least one
+    /// uncovered subset.
     ///
     /// Resuming the patched token is **sound**: every emission still passes
     /// the driver's classification against the grown system. It is **not
@@ -627,8 +722,10 @@ impl SuspendedSearch {
     /// have been exhaustive) or restart.
     ///
     /// # Panics
-    /// Panics if `appended_from > system.len()` or the token's element
-    /// universe does not match `system`'s.
+    /// Panics if `appended_from > system.len()`, if `appended_from` is not
+    /// the subset count of the system the token was produced over (or last
+    /// patched to), or if the token's element universe does not match
+    /// `system`'s.
     pub fn patch(&mut self, system: &SetSystem, appended_from: usize) -> usize {
         assert!(
             appended_from <= system.len(),
@@ -642,31 +739,34 @@ impl SuspendedSearch {
                 "patch: the token was produced over a different element universe"
             );
         }
+        assert_eq!(
+            appended_from, self.num_subsets,
+            "patch: the token's frontier covers {} subsets, not {appended_from}",
+            self.num_subsets
+        );
         if appended_from == system.len() {
             return 0;
         }
-        let appended: Vec<u32> = (appended_from..system.len()).map(|i| i as u32).collect();
+        let num_subsets = system.len();
+        self.num_subsets = num_subsets;
+        let stride = num_subsets.div_ceil(64);
         // Nodes share `lists` only along skip-branch chains, which keep the
         // partial solution unchanged — so every sharer classifies the
-        // appended subsets identically and the patched lists can be shared
+        // appended subsets identically and the patched regions can be shared
         // again. `can_hit` carries no per-solution state at all. Caching by
         // the old Rc pointer preserves both sharing structures.
         let mut lists_cache: FxHashMap<usize, (Rc<NodeLists>, bool)> = FxHashMap::default();
         let mut can_hit_cache: FxHashMap<usize, Rc<FixedBitSet>> = FxHashMap::default();
         let mut reopened = 0usize;
-        let num_subsets = system.len();
 
         let mut patch_node = |node: &mut SearchNode| {
             let can_hit_key = Rc::as_ptr(&node.can_hit) as usize;
             let patched_can_hit = can_hit_cache
                 .entry(can_hit_key)
                 .or_insert_with(|| {
-                    let mut grown = FixedBitSet::new(num_subsets);
-                    for fi in node.can_hit.iter() {
+                    let mut grown = FixedBitSet::from_words(num_subsets, node.can_hit.as_words());
+                    for fi in appended_from..num_subsets {
                         grown.insert(fi);
-                    }
-                    for &fi in &appended {
-                        grown.insert(fi as usize);
                     }
                     Rc::new(grown)
                 })
@@ -677,50 +777,30 @@ impl SuspendedSearch {
             let (patched_lists, gained_uncov) = lists_cache
                 .entry(lists_key)
                 .or_insert_with(|| {
-                    let mut extra_uncov: Vec<u32> = Vec::new();
-                    let mut extra_crit: Vec<Vec<u32>> = vec![Vec::new(); node.lists.crit_regions()];
-                    for &fi in &appended {
-                        let subset = &system.subsets()[fi as usize];
-                        match subset.intersection_count(&node.s_set) {
-                            0 => extra_uncov.push(fi),
-                            1 => {
-                                let i = node
-                                    .s
-                                    .iter()
-                                    .position(|&e| subset.contains(e))
-                                    // conformance: allow(panic) — intersection_count == 1 guarantees exactly one such element exists
-                                    .expect("intersection element must be in the solution");
-                                extra_crit[i].push(fi);
+                    // Re-lay every region at the grown stride, then add each
+                    // appended subset to the region its hitters call for.
+                    let old = &node.lists;
+                    let regions = node.s.len() + 1;
+                    let mut words = vec![0u64; regions * stride];
+                    for r in 0..regions {
+                        words[r * stride..r * stride + old.stride].copy_from_slice(old.region(r));
+                    }
+                    let mut gained = false;
+                    for fi in appended_from..num_subsets {
+                        let subset = &system.subsets()[fi];
+                        let mut hitters = (0..node.s.len()).filter(|&i| subset.contains(node.s[i]));
+                        let region = match (hitters.next(), hitters.next()) {
+                            (None, _) => {
+                                gained = true;
+                                0
                             }
-                            _ => {}
-                        }
+                            (Some(i), None) => i + 1,
+                            (Some(_), Some(_)) => continue,
+                        };
+                        words[region * stride + fi / 64] |= 1u64 << (fi % 64);
                     }
-                    let gained = !extra_uncov.is_empty();
-                    if !gained && extra_crit.iter().all(|c| c.is_empty()) {
-                        (Rc::clone(&node.lists), false)
-                    } else {
-                        let old = &node.lists;
-                        let extra_total: usize =
-                            extra_uncov.len() + extra_crit.iter().map(|c| c.len()).sum::<usize>();
-                        let mut buf = Vec::with_capacity(old.buf.len() + extra_total);
-                        let mut bounds = Vec::with_capacity(old.bounds.len());
-                        bounds.push(0u32);
-                        buf.extend_from_slice(old.region(0));
-                        buf.extend_from_slice(&extra_uncov);
-                        bounds.push(buf.len() as u32);
-                        for (i, extra) in extra_crit.iter().enumerate() {
-                            buf.extend_from_slice(old.region(i + 1));
-                            buf.extend_from_slice(extra);
-                            bounds.push(buf.len() as u32);
-                        }
-                        (
-                            Rc::new(NodeLists {
-                                buf: buf.into_boxed_slice(),
-                                bounds: bounds.into_boxed_slice(),
-                            }),
-                            gained,
-                        )
-                    }
+                    let words = words.into_boxed_slice();
+                    (Rc::new(NodeLists { words, stride }), gained)
                 })
                 .clone();
             node.lists = patched_lists;
@@ -759,6 +839,7 @@ impl DeadlineGuard {
 /// already carries its restriction in every node's `cand`.
 fn drive<D, F>(
     system: &SetSystem,
+    columns: &Columns,
     driver: &mut D,
     config: &Search<'_>,
     resume: Option<SuspendedSearch>,
@@ -854,6 +935,7 @@ where
             NodeDisposition::Expand => {
                 match expand(
                     system,
+                    columns,
                     driver,
                     config,
                     &node,
@@ -908,6 +990,7 @@ where
             entries,
             spill,
             pending: pending.map(|(node, priority, lane)| (node, priority, lane == Lane::Spill)),
+            num_subsets: system.len(),
             next_seq,
             total_nodes_expanded: prior_nodes + nodes_expanded,
             total_emitted: prior_emitted + emitted,
@@ -942,6 +1025,7 @@ enum ExpandOutcome {
 #[allow(clippy::too_many_arguments)]
 fn expand<D: SearchDriver>(
     system: &SetSystem,
+    columns: &Columns,
     driver: &mut D,
     config: &Search<'_>,
     node: &SearchNode,
@@ -963,7 +1047,7 @@ fn expand<D: SearchDriver>(
         Ok(None) => return ExpandOutcome::Done,
         Err(DeadlineHit) => return ExpandOutcome::DeadlineAborted,
     };
-    let subset = &system.subsets()[chosen as usize];
+    let subset = &system.subsets()[chosen];
 
     // Children are generated in the order the recursive algorithms visit
     // them: the non-hitting branch first, then each hitting element in
@@ -982,12 +1066,12 @@ fn expand<D: SearchDriver>(
         skip_cand.difference_with(subset);
         let mut skip_can_hit = node.can_hit.as_ref().clone();
         let mut unhittable: Vec<u32> = Vec::new();
-        for &fi in node.uncov() {
-            if !skip_can_hit.contains(fi as usize) {
-                unhittable.push(fi);
-            } else if !system.subsets()[fi as usize].intersects(&skip_cand) {
-                skip_can_hit.remove(fi as usize);
-                unhittable.push(fi);
+        for fi in ones(node.uncov()) {
+            if !skip_can_hit.contains(fi) {
+                unhittable.push(fi as u32);
+            } else if !system.subsets()[fi].intersects(&skip_cand) {
+                skip_can_hit.remove(fi);
+                unhittable.push(fi as u32);
             }
         }
         if driver.explore_skip_branch(system, &node.s_set, &skip_cand, &unhittable) {
@@ -996,7 +1080,7 @@ fn expand<D: SearchDriver>(
                 s_set: node.s_set.clone(),
                 cand: skip_cand,
                 // The partial solution is unchanged, so uncov and every
-                // criticality list are too: share them.
+                // criticality set are too: share them.
                 lists: Rc::clone(&node.lists),
                 can_hit: Rc::new(skip_can_hit),
             });
@@ -1013,63 +1097,34 @@ fn expand<D: SearchDriver>(
     for &e in &c {
         base_cand.remove(e);
     }
-    // Scratch buffers reused across children; the surviving child copies
-    // them into one exact-size interned buffer.
-    let mut crit_scratch: Vec<u32> = Vec::new();
-    let mut crit_bounds: Vec<u32> = Vec::new();
-    let mut kept: Vec<u32> = Vec::new();
-    let mut covered: Vec<u32> = Vec::new();
-    'next_element: for &e in &c {
+    // Each surviving child owns the buffer the kernel wrote; a pruned
+    // child's buffer is reused for the next element.
+    let crit_regions = node.s.len();
+    let child_len = (crit_regions + 2) * columns.stride;
+    let mut scratch: Vec<u64> = Vec::new();
+    for &e in &c {
         if let Some(guard) = guard {
             if guard.expired() {
                 return ExpandOutcome::DeadlineAborted;
             }
         }
-        crit_scratch.clear();
-        crit_bounds.clear();
-        for i in 0..node.lists.crit_regions() {
-            crit_bounds.push(crit_scratch.len() as u32);
-            let before = crit_scratch.len();
-            crit_scratch.extend(
-                node.crit(i)
-                    .iter()
-                    .copied()
-                    .filter(|&fi| !system.subsets()[fi as usize].contains(e)),
-            );
-            if crit_scratch.len() == before {
-                // Some current element would stop being critical: no minimal
-                // solution extends S ∪ {e}. The element does not return to
-                // `base_cand` either.
-                continue 'next_element;
-            }
+        if scratch.is_empty() {
+            scratch = vec![0u64; child_len];
         }
-        crit_bounds.push(crit_scratch.len() as u32);
-        kept.clear();
-        covered.clear();
-        for &fi in node.uncov() {
-            if system.subsets()[fi as usize].contains(e) {
-                covered.push(fi);
-            } else {
-                kept.push(fi);
-            }
+        if !hit_child(
+            &node.lists.words,
+            crit_regions,
+            columns.col(e),
+            &mut scratch,
+        ) {
+            // Some current element would stop being critical: no minimal
+            // solution extends S ∪ {e}. The element does not return to
+            // `base_cand` either.
+            continue;
         }
-
-        // Assemble the child's interned lists: [kept][crit…][covered].
-        let total = kept.len() + crit_scratch.len() + covered.len();
-        let mut buf = Vec::with_capacity(total);
-        buf.extend_from_slice(&kept);
-        buf.extend_from_slice(&crit_scratch);
-        buf.extend_from_slice(&covered);
-        let mut bounds = Vec::with_capacity(crit_bounds.len() + 2);
-        bounds.push(0u32);
-        let crit_base = kept.len() as u32;
-        for &b in &crit_bounds {
-            bounds.push(crit_base + b);
-        }
-        bounds.push(total as u32);
         let lists = Rc::new(NodeLists {
-            buf: buf.into_boxed_slice(),
-            bounds: bounds.into_boxed_slice(),
+            words: std::mem::take(&mut scratch).into_boxed_slice(),
+            stride: columns.stride,
         });
 
         let mut cand = base_cand.clone();
@@ -1134,15 +1189,15 @@ struct DeadlineHit;
 /// selection loop cannot overshoot the deadline unboundedly).
 fn choose_branch_subset(
     system: &SetSystem,
-    uncov: &[u32],
+    uncov: &[u64],
     cand: &FixedBitSet,
     can_hit: &FixedBitSet,
     strategy: BranchStrategy,
     unhittable_is_fatal: bool,
     guard: Option<&DeadlineGuard>,
-) -> Result<Option<u32>, DeadlineHit> {
-    let mut best: Option<(u32, usize)> = None;
-    for (step, &fi) in uncov.iter().enumerate() {
+) -> Result<Option<usize>, DeadlineHit> {
+    let mut best: Option<(usize, usize)> = None;
+    for (step, fi) in ones(uncov).enumerate() {
         if step % 128 == 127 {
             if let Some(guard) = guard {
                 if guard.expired() {
@@ -1150,10 +1205,10 @@ fn choose_branch_subset(
                 }
             }
         }
-        if !can_hit.contains(fi as usize) {
+        if !can_hit.contains(fi) {
             continue;
         }
-        let inter = system.subsets()[fi as usize].intersection_count(cand);
+        let inter = system.subsets()[fi].intersection_count(cand);
         if inter == 0 && unhittable_is_fatal {
             return Ok(None);
         }
@@ -1177,17 +1232,30 @@ fn choose_branch_subset(
 /// family needs its own element, and one element can hit at most one member,
 /// so the bound never overestimates and decreases by at most 1 per added
 /// element — exactly what best-first ordering requires.
-pub fn greedy_disjoint_lower_bound(system: &SetSystem, uncov: &[u32], cand: &FixedBitSet) -> usize {
-    let mut used = FixedBitSet::new(system.num_elements());
+///
+/// `uncov` is the node's uncovered-subset region ([`SearchNode::uncov`]),
+/// scanned in ascending subset order. Each subset's candidate part
+/// `F ∩ cand` is tested word by word against the elements already claimed,
+/// so the only allocation is that one claimed-elements buffer.
+pub fn greedy_disjoint_lower_bound(system: &SetSystem, uncov: &[u64], cand: &FixedBitSet) -> usize {
+    let cand = cand.as_words();
+    let mut used = vec![0u64; cand.len()];
     let mut bound = 0;
-    for &fi in uncov {
-        let reachable = system.subsets()[fi as usize].intersection(cand);
+    for fi in ones(uncov) {
+        let subset = system.subsets()[fi].as_words();
+        let (mut reachable, mut clash) = (0u64, 0u64);
+        for ((&f, &c), &u) in subset.iter().zip(cand).zip(&used) {
+            reachable |= f & c;
+            clash |= f & c & u;
+        }
         // A subset with no remaining candidates is a dead branch, not an
         // element demand; expansion prunes it.
-        if reachable.is_empty() || reachable.intersects(&used) {
+        if reachable == 0 || clash != 0 {
             continue;
         }
-        used.union_with(&reachable);
+        for ((u, &f), &c) in used.iter_mut().zip(subset).zip(cand) {
+            *u |= f & c;
+        }
         bound += 1;
     }
     bound
@@ -1200,6 +1268,7 @@ pub fn greedy_disjoint_lower_bound(system: &SetSystem, uncov: &[u32], cand: &Fix
 /// Shared mutable state of the in-place walk.
 struct InplaceCtx<'a, D, F> {
     system: &'a SetSystem,
+    columns: &'a Columns,
     driver: &'a mut D,
     callback: &'a mut F,
     strategy: BranchStrategy,
@@ -1221,6 +1290,7 @@ struct InplaceCtx<'a, D, F> {
 /// snapshot overhead of the explicit engine on the exact MMCS kernel.
 fn run_dfs_inplace<D, F>(
     system: &SetSystem,
+    columns: &Columns,
     driver: &mut D,
     strategy: BranchStrategy,
     restrict: Option<&FixedBitSet>,
@@ -1235,10 +1305,10 @@ where
     let mut s_set = FixedBitSet::new(m);
     let mut cand = restrict.cloned().unwrap_or_else(|| FixedBitSet::full(m));
     let can_hit = FixedBitSet::full(system.len());
-    let uncov: Vec<u32> = (0..system.len() as u32).collect();
-    let crit: Vec<Vec<u32>> = Vec::new();
+    let root = NodeLists::root(system.len());
     let mut ctx = InplaceCtx {
         system,
+        columns,
         driver,
         callback,
         strategy,
@@ -1249,7 +1319,13 @@ where
         peak_depth: 0,
     };
     inplace_walk(
-        &mut ctx, &mut s, &mut s_set, &mut cand, &uncov, &crit, &can_hit, 1,
+        &mut ctx,
+        &mut s,
+        &mut s_set,
+        &mut cand,
+        &root.words,
+        &can_hit,
+        1,
     );
     SearchOutcome {
         emitted: ctx.emitted,
@@ -1268,14 +1344,14 @@ where
     }
 }
 
-#[allow(clippy::too_many_arguments)]
+/// One node of the in-place walk. `regions` holds the node's `uncov` and
+/// its `s.len()` criticality sets, laid out as in [`NodeLists`].
 fn inplace_walk<D, F>(
     ctx: &mut InplaceCtx<'_, D, F>,
     s: &mut Vec<usize>,
     s_set: &mut FixedBitSet,
     cand: &mut FixedBitSet,
-    uncov: &[u32],
-    crit: &[Vec<u32>],
+    regions: &[u64],
     can_hit: &FixedBitSet,
     depth: usize,
 ) where
@@ -1284,7 +1360,9 @@ fn inplace_walk<D, F>(
 {
     ctx.nodes_expanded += 1;
     ctx.peak_depth = ctx.peak_depth.max(depth);
-    if uncov.is_empty() {
+    let stride = ctx.columns.stride;
+    let uncov = &regions[..stride];
+    if is_zero(uncov) {
         // Criticality is maintained along every path, so a full cover is
         // automatically minimal (the exact classification the driver
         // promised via `supports_inplace_dfs`).
@@ -1306,40 +1384,23 @@ fn inplace_walk<D, F>(
         Ok(Some(fi)) => fi,
         _ => return,
     };
-    let subset = &ctx.system.subsets()[chosen as usize];
+    let subset = &ctx.system.subsets()[chosen];
 
     let c: Vec<usize> = cand.intersection(subset).to_vec();
     for &e in &c {
         cand.remove(e);
     }
+    // One buffer for every child of this node: each child's regions are
+    // only read while its subtree is walked.
+    let crit_regions = s.len();
+    let mut child = vec![0u64; (crit_regions + 2) * stride];
     let mut stopped_at: Option<usize> = None;
-    'next_element: for (idx, &e) in c.iter().enumerate() {
-        // Criticality test, building the child's filtered lists.
-        let mut new_crit: Vec<Vec<u32>> = Vec::with_capacity(s.len() + 1);
-        for crit_u in crit.iter() {
-            let filtered: Vec<u32> = crit_u
-                .iter()
-                .copied()
-                .filter(|&fi| !ctx.system.subsets()[fi as usize].contains(e))
-                .collect();
-            if filtered.is_empty() {
-                // `e` stays out of `cand` for later siblings, exactly as in
-                // the explicit engine's `base_cand` discipline.
-                continue 'next_element;
-            }
-            new_crit.push(filtered);
+    for (idx, &e) in c.iter().enumerate() {
+        if !hit_child(regions, crit_regions, ctx.columns.col(e), &mut child) {
+            // `e` stays out of `cand` for later siblings, exactly as in the
+            // explicit engine's `base_cand` discipline.
+            continue;
         }
-        let mut kept: Vec<u32> = Vec::with_capacity(uncov.len());
-        let mut covered: Vec<u32> = Vec::new();
-        for &fi in uncov {
-            if ctx.system.subsets()[fi as usize].contains(e) {
-                covered.push(fi);
-            } else {
-                kept.push(fi);
-            }
-        }
-        new_crit.push(covered);
-
         let group_removed = ctx.driver.group_peers(e).map(|peers| {
             let removed = cand.intersection(peers);
             cand.difference_with(peers);
@@ -1347,7 +1408,7 @@ fn inplace_walk<D, F>(
         });
         s.push(e);
         s_set.insert(e);
-        inplace_walk(ctx, s, s_set, cand, &kept, &new_crit, can_hit, depth + 1);
+        inplace_walk(ctx, s, s_set, cand, &child, can_hit, depth + 1);
         s.pop();
         s_set.remove(e);
         if let Some(removed) = group_removed {
@@ -1365,13 +1426,9 @@ fn inplace_walk<D, F>(
         // not-yet-visited sibling survives the criticality check (pruned
         // siblings are never materialised as frontier nodes).
         if !ctx.unexplored {
-            ctx.unexplored = c[idx + 1..].iter().any(|&e| {
-                crit.iter().all(|crit_u| {
-                    crit_u
-                        .iter()
-                        .any(|&fi| !ctx.system.subsets()[fi as usize].contains(e))
-                })
-            });
+            ctx.unexplored = c[idx + 1..]
+                .iter()
+                .any(|&e| hit_child(regions, crit_regions, ctx.columns.col(e), &mut child));
         }
     }
     // Restore the candidate pool exactly (criticality-pruned elements did
@@ -1634,17 +1691,27 @@ mod tests {
         FixedBitSet::full(m)
     }
 
+    /// Run subset selection over the uncovered subsets `uncov`.
     fn choose(
         system: &SetSystem,
-        uncov: &[u32],
+        uncov: &[usize],
         cand: &FixedBitSet,
         can_hit: &FixedBitSet,
         strategy: BranchStrategy,
         fatal: bool,
-    ) -> Option<u32> {
-        choose_branch_subset(system, uncov, cand, can_hit, strategy, fatal, None)
-            .ok()
-            .unwrap()
+    ) -> Option<usize> {
+        let uncov = FixedBitSet::from_indices(system.len(), uncov.iter().copied());
+        choose_branch_subset(
+            system,
+            uncov.as_words(),
+            cand,
+            can_hit,
+            strategy,
+            fatal,
+            None,
+        )
+        .ok()
+        .unwrap()
     }
 
     /// Exact-MMCS driver clone for engine-level tests (the real one lives in
@@ -1652,7 +1719,7 @@ mod tests {
     struct TestExactDriver;
     impl SearchDriver for TestExactDriver {
         fn classify(&mut self, _system: &SetSystem, node: &SearchNode) -> NodeDisposition {
-            if node.uncov().is_empty() {
+            if is_zero(node.uncov()) {
                 NodeDisposition::Emit
             } else {
                 NodeDisposition::Expand
@@ -1693,16 +1760,9 @@ mod tests {
             true,
         );
         assert_eq!(chosen, Some(0));
-        // A different uncov order changes the choice: First is order-driven.
-        let chosen = choose(
-            &sys,
-            &[2, 1, 0],
-            &cand,
-            &can_hit,
-            BranchStrategy::First,
-            true,
-        );
-        assert_eq!(chosen, Some(2));
+        // Once subset 0 is covered, the next uncovered subset wins.
+        let chosen = choose(&sys, &[1, 2], &cand, &can_hit, BranchStrategy::First, true);
+        assert_eq!(chosen, Some(1));
     }
 
     #[test]
@@ -1779,18 +1839,19 @@ mod tests {
     #[test]
     fn disjoint_lower_bound_counts_a_disjoint_family() {
         let sys = SetSystem::from_indices(6, &[&[0, 1], &[1, 2], &[3], &[4, 5]]);
-        let uncov: Vec<u32> = (0..4).collect();
+        let all = full(4);
+        let uncov = all.as_words();
         // {0,1}, {3}, {4,5} are pairwise disjoint; {1,2} overlaps the first.
-        assert_eq!(greedy_disjoint_lower_bound(&sys, &uncov, &full(6)), 3);
+        assert_eq!(greedy_disjoint_lower_bound(&sys, uncov, &full(6)), 3);
         // Restricting candidates merges demands: without element 1 the first
         // two subsets reduce to {0} and {2}, still disjoint — bound 4.
         let mut cand = full(6);
         cand.remove(1);
-        assert_eq!(greedy_disjoint_lower_bound(&sys, &uncov, &cand), 4);
+        assert_eq!(greedy_disjoint_lower_bound(&sys, uncov, &cand), 4);
         // A subset with no remaining candidates contributes nothing.
         let mut cand = full(6);
         cand.remove(3);
-        assert_eq!(greedy_disjoint_lower_bound(&sys, &uncov, &cand), 2);
+        assert_eq!(greedy_disjoint_lower_bound(&sys, uncov, &cand), 2);
     }
 
     #[test]
@@ -1849,6 +1910,7 @@ mod tests {
         };
         let outcome = expand(
             &sys,
+            &Columns::new(&sys),
             &mut TestExactDriver,
             &config,
             &node,

@@ -10,7 +10,10 @@
 //! as runs, and the suites check those runs against a scan of the system.
 //! Budgets are differentials as well: a cut run resumed to completion
 //! replays the uncut sequence (runs confined by `Search::within` included),
-//! and an emission cap is never exceeded.
+//! and an emission cap is never exceeded. The engine holds a node's
+//! uncovered and critical subsets as bitsets of one word per 64 subsets, so
+//! the `wide_*` properties and the boundary-crossing patch rerun the checks
+//! on systems of 60–140 subsets.
 //!
 //! Case count is controlled by `PROPTEST_CASES` (default 256); CI runs the
 //! suite with a raised count.
@@ -210,38 +213,219 @@ fn mmcs_sliced(
     )
 }
 
+/// MMCS under every strategy and the approximate enumerator at ε = 0 emit
+/// exactly the brute-force family of minimal hitting sets.
+fn check_brute_force_agreement(system: &SetSystem) {
+    let reference = canon(brute_force_minimal_hitting_sets(system));
+    for strategy in [
+        BranchStrategy::MaxIntersection,
+        BranchStrategy::MinIntersection,
+        BranchStrategy::First,
+    ] {
+        let found = canon(mmcs(system, strategy));
+        assert_eq!(
+            &found, &reference,
+            "MMCS/{:?} diverged from brute force",
+            strategy
+        );
+
+        let approx = canon(approx(
+            system,
+            coverage_score(system),
+            0.0,
+            strategy,
+            SearchOrder::Dfs,
+        ));
+        assert_eq!(
+            &approx, &reference,
+            "approx(ε=0)/{:?} diverged from brute force",
+            strategy
+        );
+    }
+}
+
+/// At ε > 0 the approximate enumerator must match the brute-force
+/// approximate reference (same score, same threshold). Callers keep ε off
+/// exact coverage-fraction boundaries by a +1/2000 offset so floating-point
+/// comparisons at the boundary cannot flip.
+fn check_approx_brute_force(system: &SetSystem, epsilon: f64) {
+    let score = coverage_score(system);
+    let reference = canon(brute_force_minimal_approx_hitting_sets(
+        system.num_elements(),
+        scanned_coverage_score(system),
+        epsilon,
+    ));
+    let found = canon(approx(
+        system,
+        &score,
+        epsilon,
+        BranchStrategy::default(),
+        SearchOrder::Dfs,
+    ));
+    assert_eq!(found, reference);
+}
+
+/// Unbudgeted exact DFS takes the in-place undo walk; any budget forces the
+/// explicit snapshot frontier. Same tree, same order — the emission
+/// sequences, the expanded-node counts and the emission counts must be
+/// identical.
+fn check_inplace_matches_explicit(system: &SetSystem) {
+    for strategy in [
+        BranchStrategy::MaxIntersection,
+        BranchStrategy::MinIntersection,
+        BranchStrategy::First,
+    ] {
+        let search = Search::new(strategy, SearchOrder::Dfs);
+        let (inplace, fast) = collect(system, search.clone(), &mut ExactDriver);
+        let forced = search.budget(SearchBudget::unlimited().with_max_nodes(u64::MAX));
+        let (explicit, slow) = collect(system, forced, &mut ExactDriver);
+        assert_eq!(
+            canon_sequence(inplace),
+            canon_sequence(explicit),
+            "strategy {:?}",
+            strategy
+        );
+        assert_eq!(
+            fast.nodes_expanded, slow.nodes_expanded,
+            "strategy {:?}",
+            strategy
+        );
+        assert_eq!(fast.emitted, slow.emitted, "strategy {:?}", strategy);
+    }
+}
+
+/// Cut exact runs at arbitrary points (node budget, emission budget) and
+/// resume them to completion: the concatenated emission must equal the
+/// single uncapped run's *sequence* (not just its set), for both orders.
+fn check_exact_resume(
+    system: &SetSystem,
+    node_slice: u64,
+    emit_slice: usize,
+    allowed_bits: &[bool],
+) {
+    let allowed = FixedBitSet::from_indices(
+        system.num_elements(),
+        (0..system.num_elements()).filter(|&e| allowed_bits[e]),
+    );
+    let confined_reference: Vec<Vec<usize>> = canon(brute_force_minimal_hitting_sets(system))
+        .into_iter()
+        .filter(|cover| cover.iter().all(|&e| allowed.contains(e)))
+        .collect();
+    for order in [SearchOrder::Dfs, SearchOrder::ShortestFirst] {
+        let search = Search::new(BranchStrategy::MaxIntersection, order);
+        let (reference, outcome) = collect(system, search, &mut ExactDriver);
+        let reference = canon_sequence(reference);
+        assert!(outcome.is_exhaustive());
+
+        let (by_nodes, _) = mmcs_sliced(
+            system,
+            BranchStrategy::MaxIntersection,
+            order,
+            SearchBudget::unlimited().with_max_nodes(node_slice),
+        );
+        assert_eq!(&by_nodes, &reference, "node-sliced {:?}", order);
+
+        let (by_emitted, _) = mmcs_sliced(
+            system,
+            BranchStrategy::MaxIntersection,
+            order,
+            SearchBudget::unlimited().with_max_emitted(emit_slice),
+        );
+        assert_eq!(&by_emitted, &reference, "emission-sliced {:?}", order);
+
+        // A run confined to `allowed` and cut by a node budget resumes to
+        // the unbudgeted confined run's sequence, whose answer set is
+        // the brute-force answer restricted to subsets of `allowed`.
+        let confined = Search::new(BranchStrategy::MaxIntersection, order).within(&allowed);
+        let (whole, outcome) = collect(system, confined.clone(), &mut ExactDriver);
+        let whole = canon_sequence(whole);
+        assert!(outcome.is_exhaustive());
+        let slice = SearchBudget::unlimited().with_max_nodes(node_slice);
+        let (by_nodes, _) = sliced(system, confined, slice, &mut ExactDriver);
+        assert_eq!(&by_nodes, &whole, "confined node-sliced {:?}", order);
+        let mut answer = whole;
+        answer.sort();
+        assert_eq!(&answer, &confined_reference, "confined {:?}", order);
+    }
+}
+
+/// A node-budget-cut approximate run, at ε = 0 and at `epsilon`, resumes to
+/// the uncut run's sequence under both orders.
+fn check_approx_resume(system: &SetSystem, epsilon: f64, node_slice: u64) {
+    let score = coverage_score(system);
+    for eps in [0.0, epsilon] {
+        for order in [SearchOrder::Dfs, SearchOrder::ShortestFirst] {
+            let search = Search::new(BranchStrategy::default(), order);
+            let (reference, outcome) =
+                collect(system, search.clone(), &mut ApproxDriver::new(&score, eps));
+            let reference = canon_sequence(reference);
+            assert!(outcome.is_exhaustive());
+            assert!(outcome.suspended.is_none());
+
+            let slice = SearchBudget::unlimited().with_max_nodes(node_slice);
+            let (covers, _) = sliced(system, search, slice, &mut ApproxDriver::new(&score, eps));
+            assert_eq!(&covers, &reference, "ε={} {:?}", eps, order);
+        }
+    }
+}
+
+/// Every score call — threshold test, `IsMinimal`, `WillCover` — gets the
+/// unhit subsets as runs; `checked_coverage_score` compares them with a scan
+/// of the system, in every traversal the engine offers. `raw_groups` holds
+/// one structure-group id per element at least.
+fn check_score_runs(
+    system: &SetSystem,
+    raw_groups: &[usize],
+    epsilon: f64,
+    node_slice: u64,
+    cap: usize,
+) {
+    let groups = &raw_groups[..system.num_elements()];
+    let score = checked_coverage_score(system);
+    for eps in [0.0, epsilon] {
+        for strategy in [
+            BranchStrategy::MaxIntersection,
+            BranchStrategy::MinIntersection,
+            BranchStrategy::First,
+        ] {
+            for grouped in [false, true] {
+                let driver = || {
+                    let driver = ApproxDriver::new(&score, eps);
+                    if grouped {
+                        driver.element_groups(groups)
+                    } else {
+                        driver
+                    }
+                };
+                for order in [SearchOrder::Dfs, SearchOrder::ShortestFirst] {
+                    let search = Search::new(strategy, order);
+                    let whole = canon(collect(system, search.clone(), &mut driver()).0);
+                    let slice = SearchBudget::unlimited().with_max_nodes(node_slice);
+                    let (mut by_slices, _) = sliced(system, search, slice, &mut driver());
+                    by_slices.sort();
+                    assert_eq!(by_slices, whole, "ε={} {:?} {:?}", eps, strategy, order);
+                }
+                let bounded = SearchBudget::unlimited().with_max_frontier_nodes(cap);
+                let search = Search::new(strategy, SearchOrder::ShortestFirst);
+                collect(system, search.clone().budget(bounded), &mut driver());
+                sliced(
+                    system,
+                    search,
+                    bounded.with_max_nodes(node_slice),
+                    &mut driver(),
+                );
+            }
+        }
+    }
+}
+
 proptest! {
     #[test]
     fn brute_mmcs_and_approx_agree_on_random_systems(
         universe_seed in 0usize..1_000,
         raw_subsets in vec(vec(0usize..16, 1..5), 1..10),
     ) {
-        let system = build_system(universe_seed, &raw_subsets);
-        let reference = canon(brute_force_minimal_hitting_sets(&system));
-
-        for strategy in [
-            BranchStrategy::MaxIntersection,
-            BranchStrategy::MinIntersection,
-            BranchStrategy::First,
-        ] {
-            let found = canon(mmcs(&system, strategy));
-            prop_assert_eq!(
-                &found, &reference,
-                "MMCS/{:?} diverged from brute force", strategy
-            );
-
-            let approx = canon(approx(
-                &system,
-                coverage_score(&system),
-                0.0,
-                strategy,
-                SearchOrder::Dfs,
-            ));
-            prop_assert_eq!(
-                &approx, &reference,
-                "approx(ε=0)/{:?} diverged from brute force", strategy
-            );
-        }
+        check_brute_force_agreement(&build_system(universe_seed, &raw_subsets));
     }
 
     #[test]
@@ -324,54 +508,8 @@ proptest! {
         emit_slice in 1usize..4,
         allowed_bits in vec(any::<bool>(), 10..11),
     ) {
-        // Cut at arbitrary points (node budget, emission budget), resume to
-        // completion: the concatenated emission must equal the single
-        // uncapped run's *sequence* (not just its set), for both orders.
         let system = build_system(universe_seed, &raw_subsets);
-        let allowed = FixedBitSet::from_indices(
-            system.num_elements(),
-            (0..system.num_elements()).filter(|&e| allowed_bits[e]),
-        );
-        let confined_reference: Vec<Vec<usize>> = canon(brute_force_minimal_hitting_sets(&system))
-            .into_iter()
-            .filter(|cover| cover.iter().all(|&e| allowed.contains(e)))
-            .collect();
-        for order in [SearchOrder::Dfs, SearchOrder::ShortestFirst] {
-            let search = Search::new(BranchStrategy::MaxIntersection, order);
-            let (reference, outcome) = collect(&system, search, &mut ExactDriver);
-            let reference = canon_sequence(reference);
-            prop_assert!(outcome.is_exhaustive());
-
-            let (by_nodes, _) = mmcs_sliced(
-                &system,
-                BranchStrategy::MaxIntersection,
-                order,
-                SearchBudget::unlimited().with_max_nodes(node_slice),
-            );
-            prop_assert_eq!(&by_nodes, &reference, "node-sliced {:?}", order);
-
-            let (by_emitted, _) = mmcs_sliced(
-                &system,
-                BranchStrategy::MaxIntersection,
-                order,
-                SearchBudget::unlimited().with_max_emitted(emit_slice),
-            );
-            prop_assert_eq!(&by_emitted, &reference, "emission-sliced {:?}", order);
-
-            // A run confined to `allowed` and cut by a node budget resumes to
-            // the unbudgeted confined run's sequence, whose answer set is
-            // the brute-force answer restricted to subsets of `allowed`.
-            let confined = Search::new(BranchStrategy::MaxIntersection, order).within(&allowed);
-            let (whole, outcome) = collect(&system, confined.clone(), &mut ExactDriver);
-            let whole = canon_sequence(whole);
-            prop_assert!(outcome.is_exhaustive());
-            let slice = SearchBudget::unlimited().with_max_nodes(node_slice);
-            let (by_nodes, _) = sliced(&system, confined, slice, &mut ExactDriver);
-            prop_assert_eq!(&by_nodes, &whole, "confined node-sliced {:?}", order);
-            let mut answer = whole;
-            answer.sort();
-            prop_assert_eq!(&answer, &confined_reference, "confined {:?}", order);
-        }
+        check_exact_resume(&system, node_slice, emit_slice, &allowed_bits);
     }
 
     #[test]
@@ -382,23 +520,7 @@ proptest! {
         node_slice in 1u64..12,
     ) {
         let epsilon = epsilon_mil as f64 / 1_000.0 + 0.000_5;
-        let system = build_system(universe_seed, &raw_subsets);
-        let score = coverage_score(&system);
-        for eps in [0.0, epsilon] {
-            for order in [SearchOrder::Dfs, SearchOrder::ShortestFirst] {
-                let search = Search::new(BranchStrategy::default(), order);
-                let (reference, outcome) =
-                    collect(&system, search.clone(), &mut ApproxDriver::new(&score, eps));
-                let reference = canon_sequence(reference);
-                prop_assert!(outcome.is_exhaustive());
-                prop_assert!(outcome.suspended.is_none());
-
-                let slice = SearchBudget::unlimited().with_max_nodes(node_slice);
-                let (covers, _) =
-                    sliced(&system, search, slice, &mut ApproxDriver::new(&score, eps));
-                prop_assert_eq!(&covers, &reference, "ε={} {:?}", eps, order);
-            }
-        }
+        check_approx_resume(&build_system(universe_seed, &raw_subsets), epsilon, node_slice);
     }
 
     #[test]
@@ -485,21 +607,7 @@ proptest! {
         universe_seed in 0usize..1_000,
         raw_subsets in vec(vec(0usize..16, 1..5), 1..10),
     ) {
-        // Unbudgeted exact DFS takes the in-place undo walk; any budget
-        // forces the explicit snapshot frontier. Same tree, same order —
-        // the emission sequences must be identical.
-        let system = build_system(universe_seed, &raw_subsets);
-        for strategy in [
-            BranchStrategy::MaxIntersection,
-            BranchStrategy::MinIntersection,
-            BranchStrategy::First,
-        ] {
-            let search = Search::new(strategy, SearchOrder::Dfs);
-            let inplace = canon_sequence(collect(&system, search.clone(), &mut ExactDriver).0);
-            let forced = search.budget(SearchBudget::unlimited().with_max_nodes(u64::MAX));
-            let explicit = canon_sequence(collect(&system, forced, &mut ExactDriver).0);
-            prop_assert_eq!(&inplace, &explicit, "strategy {:?}", strategy);
-        }
+        check_inplace_matches_explicit(&build_system(universe_seed, &raw_subsets));
     }
 
     #[test]
@@ -508,20 +616,8 @@ proptest! {
         raw_subsets in vec(vec(0usize..16, 1..5), 1..8),
         epsilon_mil in 0usize..500,
     ) {
-        // At ε > 0 the approximate enumerator must match the brute-force
-        // approximate reference (same score, same threshold). ε is kept off
-        // exact coverage-fraction boundaries by a +1/2000 offset so
-        // floating-point comparisons at the boundary cannot flip.
         let epsilon = epsilon_mil as f64 / 1_000.0 + 0.000_5;
-        let system = build_system(universe_seed, &raw_subsets);
-        let score = coverage_score(&system);
-        let reference = canon(brute_force_minimal_approx_hitting_sets(
-            system.num_elements(),
-            scanned_coverage_score(&system),
-            epsilon,
-        ));
-        let found = canon(approx(&system, &score, epsilon, BranchStrategy::default(), SearchOrder::Dfs));
-        prop_assert_eq!(found, reference);
+        check_approx_brute_force(&build_system(universe_seed, &raw_subsets), epsilon);
     }
 }
 
@@ -535,43 +631,70 @@ proptest! {
         node_slice in 1u64..12,
         cap in 1usize..8,
     ) {
-        // Every score call — threshold test, `IsMinimal`, `WillCover` — gets
-        // the unhit subsets as runs; `checked_coverage_score` compares them
-        // with a scan of the system, in every traversal the engine offers.
         let epsilon = epsilon_mil as f64 / 1_000.0 + 0.000_5;
         let system = build_system(universe_seed, &raw_subsets);
-        let groups = &raw_groups[..system.num_elements()];
-        let score = checked_coverage_score(&system);
-        for eps in [0.0, epsilon] {
-            for strategy in [
-                BranchStrategy::MaxIntersection,
-                BranchStrategy::MinIntersection,
-                BranchStrategy::First,
-            ] {
-                for grouped in [false, true] {
-                    let driver = || {
-                        let driver = ApproxDriver::new(&score, eps);
-                        if grouped {
-                            driver.element_groups(groups)
-                        } else {
-                            driver
-                        }
-                    };
-                    for order in [SearchOrder::Dfs, SearchOrder::ShortestFirst] {
-                        let search = Search::new(strategy, order);
-                        let whole = canon(collect(&system, search.clone(), &mut driver()).0);
-                        let slice = SearchBudget::unlimited().with_max_nodes(node_slice);
-                        let (mut by_slices, _) = sliced(&system, search, slice, &mut driver());
-                        by_slices.sort();
-                        prop_assert_eq!(by_slices, whole, "ε={} {:?} {:?}", eps, strategy, order);
-                    }
-                    let bounded = SearchBudget::unlimited().with_max_frontier_nodes(cap);
-                    let search = Search::new(strategy, SearchOrder::ShortestFirst);
-                    collect(&system, search.clone().budget(bounded), &mut driver());
-                    sliced(&system, search, bounded.with_max_nodes(node_slice), &mut driver());
-                }
-            }
-        }
+        check_score_runs(&system, &raw_groups, epsilon, node_slice, cap);
+    }
+}
+
+// ---------------------------------------------------------------------------
+// Multi-word systems: 60–140 subsets, so a node's bitset regions span two or
+// three words, over at most 10 elements, so brute force stays cheap.
+// ---------------------------------------------------------------------------
+
+proptest! {
+    #[test]
+    fn wide_systems_agree_with_brute_force(
+        universe_seed in 0usize..1_000,
+        raw_subsets in vec(vec(0usize..16, 1..5), 60..141),
+        epsilon_mil in 0usize..500,
+    ) {
+        let system = build_system(universe_seed, &raw_subsets);
+        check_brute_force_agreement(&system);
+        check_approx_brute_force(&system, epsilon_mil as f64 / 1_000.0 + 0.000_5);
+        check_inplace_matches_explicit(&system);
+    }
+
+    #[test]
+    fn wide_score_runs_are_exactly_the_unhit_subsets(
+        universe_seed in 0usize..1_000,
+        raw_subsets in vec(vec(0usize..16, 1..5), 60..141),
+        raw_groups in vec(0usize..4, 10..11),
+        epsilon_mil in 0usize..400,
+        node_slice in 1u64..12,
+        cap in 1usize..8,
+    ) {
+        let epsilon = epsilon_mil as f64 / 1_000.0 + 0.000_5;
+        let system = build_system(universe_seed, &raw_subsets);
+        check_score_runs(&system, &raw_groups, epsilon, node_slice, cap);
+    }
+
+    #[test]
+    fn wide_budget_cut_runs_resume_to_the_uncapped_sequence(
+        universe_seed in 0usize..1_000,
+        raw_subsets in vec(vec(0usize..16, 1..5), 60..141),
+        epsilon_mil in 0usize..400,
+        node_slice in 1u64..12,
+        emit_slice in 1usize..4,
+        allowed_bits in vec(any::<bool>(), 10..11),
+    ) {
+        let system = build_system(universe_seed, &raw_subsets);
+        check_exact_resume(&system, node_slice, emit_slice, &allowed_bits);
+        check_approx_resume(&system, epsilon_mil as f64 / 1_000.0 + 0.000_5, node_slice);
+    }
+
+    #[test]
+    fn patch_across_the_64_subset_boundary_resumes_soundly(
+        universe_seed in 0usize..1_000,
+        raw_subsets in vec(vec(0usize..16, 1..5), 50..65),
+        raw_appended in vec(vec(0usize..16, 1..5), 15..40),
+        budget_nodes in 1u64..24,
+    ) {
+        // 50–64 subsets grow to 65–103: every patched region is re-laid at
+        // a stride of two words.
+        let system = build_system(universe_seed, &raw_subsets);
+        check_patched_exact(&system, &raw_appended, budget_nodes);
+        check_patched_approx(&system, &raw_appended, budget_nodes);
     }
 }
 
@@ -590,6 +713,80 @@ fn grow_system(system: &SetSystem, raw_appended: &[Vec<usize>]) -> (SetSystem, u
         grown.push_subset(FixedBitSet::from_indices(m, folded.iter().copied()));
     }
     (grown, appended_from)
+}
+
+/// Cut an exact shortest-first run mid-flight, append subsets, patch the
+/// frontier, and resume against the grown system. Soundness: every
+/// post-patch emission is a minimal hitting set of the grown system (and
+/// hence appears in its full answer), and no cover — pre- or post-patch — is
+/// ever emitted twice.
+fn check_patched_exact(system: &SetSystem, raw_appended: &[Vec<usize>], budget_nodes: u64) {
+    let search = Search::new(BranchStrategy::MaxIntersection, SearchOrder::ShortestFirst)
+        .budget(SearchBudget::unlimited().with_max_nodes(budget_nodes));
+    let (mut covers, outcome) = collect(system, search, &mut ExactDriver);
+    let Some(mut token) = outcome.suspended else {
+        return;
+    };
+    let pre_patch = covers.len();
+    let (grown, appended_from) = grow_system(system, raw_appended);
+    token.patch(&grown, appended_from);
+    let mut next = Some(token);
+    while let Some(t) = next.take() {
+        let (more, again) = collect(&grown, Search::resume(t), &mut ExactDriver);
+        covers.extend(more);
+        next = again.suspended;
+    }
+    let full: std::collections::HashSet<Vec<usize>> =
+        canon(brute_force_minimal_hitting_sets(&grown))
+            .into_iter()
+            .collect();
+    for s in &covers[pre_patch..] {
+        assert!(
+            grown.is_minimal_hitting_set(s),
+            "patched resume emitted a non-minimal cover {:?}",
+            s.to_vec()
+        );
+        assert!(full.contains(&s.to_vec()));
+    }
+    let mut seen = std::collections::HashSet::new();
+    for s in &covers {
+        assert!(
+            seen.insert(s.to_vec()),
+            "duplicate emission {:?}",
+            s.to_vec()
+        );
+    }
+}
+
+/// The approximate enumerator at ε = 0, cut, patched and resumed: every
+/// post-patch emission is a minimal hitting set of the grown system, and the
+/// checked score pins the unhit runs of the patched frontier against the
+/// grown system.
+fn check_patched_approx(system: &SetSystem, raw_appended: &[Vec<usize>], budget_nodes: u64) {
+    let search = Search::new(BranchStrategy::default(), SearchOrder::ShortestFirst)
+        .budget(SearchBudget::unlimited().with_max_nodes(budget_nodes));
+    let mut driver = ApproxDriver::new(checked_coverage_score(system), 0.0);
+    let (mut covers, outcome) = collect(system, search, &mut driver);
+    let Some(mut token) = outcome.suspended else {
+        return;
+    };
+    let pre_patch = covers.len();
+    let (grown, appended_from) = grow_system(system, raw_appended);
+    token.patch(&grown, appended_from);
+    let mut driver = ApproxDriver::new(checked_coverage_score(&grown), 0.0);
+    let mut next = Some(token);
+    while let Some(t) = next.take() {
+        let (more, again) = collect(&grown, Search::resume(t), &mut driver);
+        covers.extend(more);
+        next = again.suspended;
+    }
+    for s in &covers[pre_patch..] {
+        assert!(
+            grown.is_minimal_hitting_set(s),
+            "patched approx resume emitted a non-minimal cover {:?}",
+            s.to_vec()
+        );
+    }
 }
 
 proptest! {
@@ -662,41 +859,8 @@ proptest! {
         raw_appended in vec(vec(0usize..16, 1..5), 1..4),
         budget_nodes in 1u64..24,
     ) {
-        // Cut an exact shortest-first run mid-flight, append subsets, patch
-        // the frontier, and resume against the grown system. Soundness: every
-        // post-patch emission is a minimal hitting set of the grown system
-        // (and hence appears in its full answer), and no cover — pre- or
-        // post-patch — is ever emitted twice.
         let system = build_system(universe_seed, &raw_subsets);
-        let search = Search::new(BranchStrategy::MaxIntersection, SearchOrder::ShortestFirst)
-            .budget(SearchBudget::unlimited().with_max_nodes(budget_nodes));
-        let (mut covers, outcome) = collect(&system, search, &mut ExactDriver);
-        let Some(mut token) = outcome.suspended else { continue };
-        let pre_patch = covers.len();
-        let (grown, appended_from) = grow_system(&system, &raw_appended);
-        token.patch(&grown, appended_from);
-        let mut next = Some(token);
-        while let Some(t) = next.take() {
-            let (more, again) = collect(&grown, Search::resume(t), &mut ExactDriver);
-            covers.extend(more);
-            next = again.suspended;
-        }
-        let full: std::collections::HashSet<Vec<usize>> =
-            canon(brute_force_minimal_hitting_sets(&grown))
-                .into_iter()
-                .collect();
-        for s in &covers[pre_patch..] {
-            prop_assert!(
-                grown.is_minimal_hitting_set(s),
-                "patched resume emitted a non-minimal cover {:?}",
-                s.to_vec()
-            );
-            prop_assert!(full.contains(&s.to_vec()));
-        }
-        let mut seen = std::collections::HashSet::new();
-        for s in &covers {
-            prop_assert!(seen.insert(s.to_vec()), "duplicate emission {:?}", s.to_vec());
-        }
+        check_patched_exact(&system, &raw_appended, budget_nodes);
     }
 
     #[test]
@@ -707,29 +871,6 @@ proptest! {
         budget_nodes in 1u64..24,
     ) {
         let system = build_system(universe_seed, &raw_subsets);
-        let search = Search::new(BranchStrategy::default(), SearchOrder::ShortestFirst)
-            .budget(SearchBudget::unlimited().with_max_nodes(budget_nodes));
-        let mut driver = ApproxDriver::new(checked_coverage_score(&system), 0.0);
-        let (mut covers, outcome) = collect(&system, search, &mut driver);
-        let Some(mut token) = outcome.suspended else { continue };
-        let pre_patch = covers.len();
-        let (grown, appended_from) = grow_system(&system, &raw_appended);
-        token.patch(&grown, appended_from);
-        // The checked score also pins the unhit runs of the patched frontier
-        // against the grown system.
-        let mut driver = ApproxDriver::new(checked_coverage_score(&grown), 0.0);
-        let mut next = Some(token);
-        while let Some(t) = next.take() {
-            let (more, again) = collect(&grown, Search::resume(t), &mut driver);
-            covers.extend(more);
-            next = again.suspended;
-        }
-        for s in &covers[pre_patch..] {
-            prop_assert!(
-                grown.is_minimal_hitting_set(s),
-                "patched approx resume emitted a non-minimal cover {:?}",
-                s.to_vec()
-            );
-        }
+        check_patched_approx(&system, &raw_appended, budget_nodes);
     }
 }
